@@ -14,10 +14,8 @@
 //! demand-wall points at 250k and 1M users × 1k tasks (fewer rounds —
 //! the naive reference arm is O(n·m) per round), and times the
 //! platform's per-round work (Eq. 5 neighbour counting + demand
-//! pricing) under six arms: the naive pairwise scan, a per-round grid
-//! rebuild, the incremental grid, the incremental grid with the
-//! pricing cache, and the cell-centric sweep serial and parallel.
-//! Outputs are cross-checked for bitwise identity before any timing is
+//! pricing) under two arms: the naive pairwise scan and the production
+//! cell-centric sweep. Outputs are cross-checked for bitwise identity before any timing is
 //! reported; see `paydemand_bench::scaling`.
 
 use paydemand_bench::scaling::{

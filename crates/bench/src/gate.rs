@@ -2,13 +2,15 @@
 //! `BENCH_scaling.json` against the committed baseline and fails on a
 //! >25% wall-clock regression in any arm.
 //!
-//! The parser is deliberately tiny and format-specific — it reads only
-//! the flat document [`crate::scaling::to_json_full`] emits, so the
-//! workspace stays dependency-free. Microsecond-scale arms are noisy on
-//! shared CI runners, so a regression only counts when it clears both
-//! the relative threshold *and* a small absolute grace.
+//! The document is read with [`paydemand_obs::parse_json`], so any
+//! JSON layout of the fields [`crate::scaling::to_json_doc`] emits
+//! parses the same. Microsecond-scale arms are noisy on shared CI
+//! runners, so a regression only counts when it clears both the
+//! relative threshold *and* a small absolute grace.
 
 use std::collections::BTreeMap;
+
+use paydemand_obs::{parse_json, JsonValue};
 
 /// Relative wall-clock regression that fails the gate (25%).
 pub const MAX_REGRESSION: f64 = 0.25;
@@ -24,15 +26,13 @@ pub const TELEMETRY_OVERHEAD_TARGET: f64 = 0.15;
 /// Sampling-profiler overhead above this fraction draws a warning on
 /// the same arm (the 99 Hz sampler is meant to be always-on cheap).
 pub const PROFILING_OVERHEAD_TARGET: f64 = 0.05;
-/// At the 50k-user × 1k-task point the incremental tracker must beat
-/// the per-round rebuild by at least this wall-clock factor. Pins the
-/// fix for the historical near-tie (71 ms vs 89 ms) where the delta
-/// path's per-move allocations ate most of its advantage; with the
-/// allocation-free visitor the gap must stay decisive.
-pub const INDEXED_VS_REBUILD_MIN_SPEEDUP: f64 = 1.2;
+/// At the 1M-user × 1k-task point the cell sweep must beat the naive
+/// pairwise scan by at least this wall-clock factor (median demand
+/// time on a 2-core host: 2310 ms naive against 96 ms cell, ~24×).
+pub const CELL_VS_NAIVE_MIN_SPEEDUP: f64 = 10.0;
 /// The fresh-run arm keys the speedup assertion reads.
-const SPEEDUP_INDEXED_KEY: &str = "50000x1000:indexed";
-const SPEEDUP_REBUILD_KEY: &str = "50000x1000:rebuild";
+const SPEEDUP_CELL_KEY: &str = "1000000x1000:cell";
+const SPEEDUP_NAIVE_KEY: &str = "1000000x1000:naive";
 /// Relative allocation-metric growth that fails the gate (25%),
 /// applied to bytes/round, allocs/round, and peak live bytes.
 pub const MAX_ALLOC_REGRESSION: f64 = 0.25;
@@ -50,7 +50,7 @@ pub const ZERO_ALLOC_MIN_USERS: f64 = 100_000.0;
 pub type ArmSeconds = BTreeMap<String, f64>;
 
 /// Everything the gate needs from one `BENCH_scaling.json`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchDoc {
     /// Per-arm wall-clock seconds.
     pub arms: ArmSeconds,
@@ -84,76 +84,67 @@ pub struct BenchDoc {
     pub profiling_identical: Option<bool>,
 }
 
-/// Extracts the raw text of `"key": value` from a JSON fragment.
-fn field<'a>(fragment: &'a str, key: &str) -> Option<&'a str> {
-    let pattern = format!("\"{key}\": ");
-    let start = fragment.find(&pattern)? + pattern.len();
-    let rest = &fragment[start..];
-    let end = rest.find([',', '}', ']', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
+/// A boolean field of a JSON object, when present.
+fn flag(value: &JsonValue, key: &str) -> Option<bool> {
+    match value.get(key)? {
+        JsonValue::Bool(b) => Some(*b),
+        _ => None,
+    }
 }
 
-fn num(fragment: &str, key: &str) -> Option<f64> {
-    field(fragment, key)?.parse().ok()
+/// The `overhead_fraction` and `identical` fields of one top-level
+/// overhead section (`"trace"`, `"telemetry"`, `"profiling"`).
+fn overhead_section(root: &JsonValue, name: &str) -> (Option<f64>, Option<bool>) {
+    let Some(section) = root.get(name) else { return (None, None) };
+    (section.get("overhead_fraction").and_then(JsonValue::as_f64), flag(section, "identical"))
 }
 
 /// Parses the parts of a `BENCH_scaling.json` document the gate reads.
 ///
 /// # Errors
 ///
-/// A message naming the malformed line.
+/// A message naming the malformed point or arm.
 pub fn parse(doc: &str) -> Result<BenchDoc, String> {
+    let root = parse_json(doc).map_err(|e| format!("not JSON: {e}"))?;
     let mut out = BenchDoc::default();
-    for line in doc.lines() {
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("\"trace\":") {
-            out.trace_overhead = num(line, "overhead_fraction");
-            out.trace_identical = field(line, "identical").map(|v| v == "true");
-            continue;
-        }
-        if trimmed.starts_with("\"telemetry\":") {
-            out.telemetry_overhead = num(line, "overhead_fraction");
-            out.telemetry_identical = field(line, "identical").map(|v| v == "true");
-            continue;
-        }
-        if trimmed.starts_with("\"profiling\":") {
-            out.profiling_overhead = num(line, "overhead_fraction");
-            out.profiling_identical = field(line, "identical").map(|v| v == "true");
-            continue;
-        }
-        if !trimmed.starts_with('{') || !line.contains("\"arms\":") {
-            continue;
-        }
-        let users = num(line, "users").ok_or_else(|| format!("point without users: {line}"))?;
-        let tasks = num(line, "tasks").ok_or_else(|| format!("point without tasks: {line}"))?;
-        if field(line, "identical") == Some("false") {
+    (out.trace_overhead, out.trace_identical) = overhead_section(&root, "trace");
+    (out.telemetry_overhead, out.telemetry_identical) = overhead_section(&root, "telemetry");
+    (out.profiling_overhead, out.profiling_identical) = overhead_section(&root, "profiling");
+    let points = root.get("points").and_then(JsonValue::as_array).unwrap_or_default();
+    for point in points {
+        let size = |name: &str| {
+            point.get(name).and_then(JsonValue::as_u64).ok_or(format!("point without {name}"))
+        };
+        let (users, tasks) = (size("users")?, size("tasks")?);
+        if flag(point, "identical") == Some(false) {
             out.any_non_identical = true;
         }
-        // Each arm object starts with its label; split on that marker.
-        for fragment in line.split("{\"arm\": ").skip(1) {
-            let arm = fragment.split('"').nth(1).ok_or_else(|| format!("bad arm: {line}"))?;
-            let seconds =
-                num(fragment, "seconds").ok_or_else(|| format!("arm without seconds: {line}"))?;
-            let key = format!("{users}x{tasks}:{arm}");
-            // Allocation metrics are optional: baselines committed
-            // before allocation profiling simply skip these rules.
-            if let Some(v) = num(fragment, "alloc_bytes_per_round") {
-                out.alloc_bytes_per_round.insert(key.clone(), v);
-            }
-            if let Some(v) = num(fragment, "allocs_per_round") {
-                out.allocs_per_round.insert(key.clone(), v);
-            }
-            if let Some(v) = num(fragment, "peak_live_bytes") {
-                out.peak_live_bytes.insert(key.clone(), v);
-            }
-            if let Some(v) = num(fragment, "demand_allocs_per_round") {
-                out.demand_allocs_per_round.insert(key.clone(), v);
-            }
-            if let Some(v) = num(fragment, "demand_seconds") {
-                out.demand_seconds.insert(key.clone(), v);
-            }
-            if let Some(v) = num(fragment, "pricing_seconds") {
-                out.pricing_seconds.insert(key.clone(), v);
+        let arms = point
+            .get("arms")
+            .and_then(JsonValue::as_array)
+            .ok_or(format!("point {users}x{tasks} without arms"))?;
+        for arm in arms {
+            let label = arm
+                .get("arm")
+                .and_then(JsonValue::as_str)
+                .ok_or(format!("unlabelled arm at {users}x{tasks}"))?;
+            let key = format!("{users}x{tasks}:{label}");
+            let metric = |name: &str| arm.get(name).and_then(JsonValue::as_f64);
+            let seconds = metric("seconds").ok_or(format!("arm {key} without seconds"))?;
+            // Per-arm metrics are optional: baselines committed before
+            // allocation profiling or phase timing simply skip the
+            // rules that read them.
+            for (name, map) in [
+                ("alloc_bytes_per_round", &mut out.alloc_bytes_per_round),
+                ("allocs_per_round", &mut out.allocs_per_round),
+                ("peak_live_bytes", &mut out.peak_live_bytes),
+                ("demand_allocs_per_round", &mut out.demand_allocs_per_round),
+                ("demand_seconds", &mut out.demand_seconds),
+                ("pricing_seconds", &mut out.pricing_seconds),
+            ] {
+                if let Some(v) = metric(name) {
+                    map.insert(key.clone(), v);
+                }
             }
             out.arms.insert(key, seconds);
         }
@@ -207,14 +198,13 @@ pub fn compare(baseline: &BenchDoc, fresh: &BenchDoc) -> (Vec<Verdict>, Vec<Stri
     if fresh.any_non_identical {
         failures.push("fresh run has non-identical arms; timings are invalid".into());
     }
-    if let (Some(&indexed), Some(&rebuild)) =
-        (fresh.arms.get(SPEEDUP_INDEXED_KEY), fresh.arms.get(SPEEDUP_REBUILD_KEY))
+    if let (Some(&cell), Some(&naive)) =
+        (fresh.arms.get(SPEEDUP_CELL_KEY), fresh.arms.get(SPEEDUP_NAIVE_KEY))
     {
-        if rebuild < indexed * INDEXED_VS_REBUILD_MIN_SPEEDUP {
+        if naive < cell * CELL_VS_NAIVE_MIN_SPEEDUP {
             failures.push(format!(
-                "incremental tracker no longer decisively beats per-round rebuild at 50k users: \
-                 indexed {indexed:.6}s vs rebuild {rebuild:.6}s \
-                 (need >{INDEXED_VS_REBUILD_MIN_SPEEDUP}x)"
+                "cell sweep no longer beats the naive scan {CELL_VS_NAIVE_MIN_SPEEDUP}x at 1M \
+                 users: cell {cell:.6}s vs naive {naive:.6}s"
             ));
         }
     }
@@ -315,7 +305,7 @@ pub fn phase_deltas(baseline: &BenchDoc, fresh: &BenchDoc, key: &str) -> Vec<Str
 mod tests {
     use super::*;
 
-    fn doc(naive: f64, cached: f64, trace: Option<(f64, bool)>) -> String {
+    fn doc(naive: f64, cell: f64, trace: Option<(f64, bool)>) -> String {
         let trace_line = trace.map_or(String::new(), |(overhead, identical)| {
             format!(
                 "  \"trace\": {{\"users\": 10000, \"tasks\": 100, \"rounds\": 8, \
@@ -330,8 +320,8 @@ mod tests {
              {{\"users\": 100, \"tasks\": 100, \"rounds\": 8, \"radius_m\": 200, \
              \"move_fraction\": 0.1, \"identical\": true, \"arms\": [{{\"arm\": \"naive\", \
              \"seconds\": {naive:.6}, \"demand_seconds\": 0.0, \"pricing_seconds\": 0.0, \
-             \"delta_rounds\": 0, \"rebuilds\": 0}}, {{\"arm\": \"indexed_cached\", \
-             \"seconds\": {cached:.6}, \"demand_seconds\": 0.0, \"pricing_seconds\": 0.0, \
+             \"delta_rounds\": 0, \"rebuilds\": 0}}, {{\"arm\": \"cell\", \
+             \"seconds\": {cell:.6}, \"demand_seconds\": 0.0, \"pricing_seconds\": 0.0, \
              \"delta_rounds\": 7, \"rebuilds\": 1}}]}}\n  ]\n}}\n"
         )
     }
@@ -341,7 +331,7 @@ mod tests {
         let parsed = parse(&doc(0.1, 0.05, Some((0.08, true)))).unwrap();
         assert_eq!(parsed.arms.len(), 2);
         assert_eq!(parsed.arms["100x100:naive"], 0.1);
-        assert_eq!(parsed.arms["100x100:indexed_cached"], 0.05);
+        assert_eq!(parsed.arms["100x100:cell"], 0.05);
         assert_eq!(parsed.trace_overhead, Some(0.08));
         assert_eq!(parsed.trace_identical, Some(true));
         assert!(!parsed.any_non_identical);
@@ -484,30 +474,83 @@ mod tests {
     }
 
     #[test]
-    fn indexed_must_decisively_beat_rebuild_at_50k() {
-        let fifty_k = |indexed: f64, rebuild: f64| {
+    fn cell_must_beat_naive_tenfold_at_1m() {
+        let one_m = |cell: f64, naive: f64| {
             format!(
-                "{{\n  \"points\": [\n    {{\"users\": 50000, \"tasks\": 1000, \"rounds\": 8, \
-                 \"identical\": true, \"arms\": [{{\"arm\": \"rebuild\", \
-                 \"seconds\": {rebuild:.6}}}, {{\"arm\": \"indexed\", \
-                 \"seconds\": {indexed:.6}}}]}}\n  ]\n}}\n"
+                "{{\n  \"points\": [\n    {{\"users\": 1000000, \"tasks\": 1000, \"rounds\": 2, \
+                 \"identical\": true, \"arms\": [{{\"arm\": \"naive\", \
+                 \"seconds\": {naive:.6}}}, {{\"arm\": \"cell\", \
+                 \"seconds\": {cell:.6}}}]}}\n  ]\n}}\n"
             )
         };
-        let baseline = parse(&fifty_k(0.070, 0.090)).unwrap();
-        // A decisive win passes: 0.090 / 0.060 = 1.5x.
-        let healthy = parse(&fifty_k(0.060, 0.090)).unwrap();
-        let (_, failures) = compare(&baseline, &healthy);
+        let baseline = parse(&one_m(0.096, 2.310)).unwrap();
+        // A decisive win passes: 2.310 / 0.096 ≈ 24x.
+        let (_, failures) = compare(&baseline, &baseline);
         assert!(failures.is_empty(), "{failures:?}");
-        // A near-tie fails even with no wall-clock regression:
-        // 0.085 / 0.071 < 1.2x.
-        let near_tie = parse(&fifty_k(0.071, 0.085)).unwrap();
-        let (_, failures) = compare(&baseline, &near_tie);
-        assert!(failures.iter().any(|f| f.contains("no longer decisively beats")), "{failures:?}");
-        // The assertion only reads the 50k x 1k point: absent arms
-        // (e.g. the doc() fixtures above) never trip it.
+        // Under 10x fails even with no wall-clock regression on either
+        // arm: 2.310 / 0.240 < 10x.
+        let slow = parse(&one_m(0.240, 2.310)).unwrap();
+        let (_, failures) = compare(&parse(&one_m(0.240, 2.000)).unwrap(), &slow);
+        assert!(failures.iter().any(|f| f.contains("no longer beats")), "{failures:?}");
+        // The assertion only reads the 1M x 1k point: absent arms (e.g.
+        // the doc() fixtures above) never trip it.
         let no_point = parse(&doc(0.1, 0.05, None)).unwrap();
         let (_, failures) = compare(&no_point, &no_point);
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    /// Re-indents a JSON document with one key (or array element) per
+    /// line: a layout the emitter never writes but any JSON reader must
+    /// accept.
+    fn one_key_per_line(compact: &str) -> String {
+        let mut out = String::new();
+        let mut depth = 0usize;
+        let mut in_string = false;
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        };
+        for c in compact.chars() {
+            if in_string {
+                out.push(c);
+                in_string = c != '"';
+                continue;
+            }
+            match c {
+                '"' => {
+                    in_string = true;
+                    out.push(c);
+                }
+                '{' | '[' => {
+                    out.push(c);
+                    depth += 1;
+                    newline(&mut out, depth);
+                }
+                '}' | ']' => {
+                    depth -= 1;
+                    newline(&mut out, depth);
+                    out.push(c);
+                }
+                ',' => {
+                    out.push(c);
+                    newline(&mut out, depth);
+                }
+                c if c.is_whitespace() => {}
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn layout_does_not_change_the_parse() {
+        let compact = include_str!("../../../BENCH_scaling.json");
+        let pretty = one_key_per_line(compact);
+        assert!(pretty.lines().count() > 2 * compact.lines().count(), "{pretty}");
+        let expected = parse(compact).unwrap();
+        assert!(expected.arms.contains_key("1000000x1000:cell"));
+        assert!(expected.trace_identical.is_some() && expected.profiling_overhead.is_some());
+        assert_eq!(parse(&pretty).unwrap(), expected);
     }
 
     #[test]

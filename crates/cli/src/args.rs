@@ -3,10 +3,7 @@
 //! stays readable).
 
 use paydemand_obs::LogLevel;
-use paydemand_sim::{
-    FaultKind, FaultPlan, IndexingMode, MechanismKind, PricingCacheMode, Scenario, SelectorKind,
-    TravelModel,
-};
+use paydemand_sim::{FaultKind, FaultPlan, MechanismKind, Scenario, SelectorKind, TravelModel};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -96,18 +93,8 @@ OPTIONS (both commands):
     --seed N           master seed                     [default: 24157]
     --threads N        worker threads (0 = all cores)  [default: 0]
     --enforce-budget   refuse payments past the budget
-    --no-cache         disable the demand/pricing cache (identical
-                       results; exists for benchmarking and debugging)
-    --indexing MODE    cell | incremental | rebuild | naive neighbour
-                       counting (identical results; bench arms)
-                       [default: incremental]
-    --demand-backend MODE   alias for --indexing (names the Eq. 5
-                       counting backend)
-    --demand-threads N worker threads inside the demand phase (cell
-                       backend only; 0 = all cores; results identical
-                       for every value)  [default: 1]
     --metrics-out PATH write collected metrics to PATH (implies recording;
-                       round-phase latencies, cache and selector counters)
+                       round-phase latencies, demand and selector counters)
     --metrics-format F prom | json exporter for --metrics-out [default: prom]
     --profile          record metrics and print a latency/counter summary
                        to stderr (identical simulation results either way)
@@ -495,7 +482,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     None => DEFAULT_PROFILE_HZ,
                 });
             }
-            "--no-cache" => scenario.pricing_cache = PricingCacheMode::Disabled,
             "--preset" => {
                 let name = it.next().ok_or("--preset needs a name")?;
                 let seed = scenario.seed;
@@ -533,12 +519,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                             "json" => MetricsFormat::Json,
                             other => return Err(format!("unknown metrics format `{other}`")),
                         };
-                    }
-                    "--indexing" | "--demand-backend" => {
-                        scenario.indexing = parse_indexing(value)?;
-                    }
-                    "--demand-threads" => {
-                        scenario.demand_threads = parse_num(flag, value)?;
                     }
                     "--selector" => scenario.selector = parse_selector(value)?,
                     "--travel" => scenario.travel = parse_travel(value)?,
@@ -1011,16 +991,6 @@ fn parse_selector(value: &str) -> Result<SelectorKind, String> {
     })
 }
 
-fn parse_indexing(value: &str) -> Result<IndexingMode, String> {
-    Ok(match value {
-        "cell" | "cell-sweep" => IndexingMode::CellSweep,
-        "incremental" => IndexingMode::Incremental,
-        "rebuild" => IndexingMode::RebuildEachRound,
-        "naive" => IndexingMode::NaiveReference,
-        other => return Err(format!("unknown indexing mode `{other}`")),
-    })
-}
-
 fn parse_travel(value: &str) -> Result<TravelModel, String> {
     if let Some(spec) = value.strip_prefix("streets:") {
         // Format: COLSxROWS:CLOSURE, e.g. streets:20x20:0.3
@@ -1181,58 +1151,22 @@ mod tests {
     }
 
     #[test]
-    fn threads_cache_and_indexing_flags_parse() {
-        let Command::Run(opts) =
-            parse(&argv("run --threads 4 --no-cache --indexing naive")).unwrap()
-        else {
+    fn threads_flag_parses() {
+        let Command::Run(opts) = parse(&argv("run --threads 4")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.scenario.pricing_cache, PricingCacheMode::Disabled);
-        assert_eq!(opts.scenario.indexing, IndexingMode::NaiveReference);
 
         let Command::Run(defaults) = parse(&argv("run")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(defaults.threads, None);
-        assert_eq!(defaults.scenario.pricing_cache, PricingCacheMode::Enabled);
-        assert_eq!(defaults.scenario.indexing, IndexingMode::Incremental);
 
         let Command::Run(zero) = parse(&argv("run --threads 0")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(zero.threads, None, "0 means all cores");
-
-        assert!(parse(&argv("run --indexing quantum"))
-            .unwrap_err()
-            .contains("unknown indexing mode"));
-        assert!(parse(&argv("compare --no-cache --threads 2")).is_ok());
-    }
-
-    #[test]
-    fn demand_backend_flags_parse() {
-        let Command::Run(opts) =
-            parse(&argv("run --demand-backend cell --demand-threads 4")).unwrap()
-        else {
-            panic!("expected run");
-        };
-        assert_eq!(opts.scenario.indexing, IndexingMode::CellSweep);
-        assert_eq!(opts.scenario.demand_threads, 4);
-
-        let Command::Run(alias) = parse(&argv("run --indexing cell-sweep")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(alias.scenario.indexing, IndexingMode::CellSweep);
-
-        let Command::Run(defaults) = parse(&argv("run")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(defaults.scenario.demand_threads, 1);
-
-        assert!(parse(&argv("run --demand-backend quantum"))
-            .unwrap_err()
-            .contains("unknown indexing mode"));
-        assert!(parse(&argv("run --demand-threads lots")).unwrap_err().contains("cannot parse"));
+        assert!(parse(&argv("compare --threads 2")).is_ok());
     }
 
     #[test]

@@ -1,30 +1,9 @@
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::demand::{DemandCache, TaskObservation};
+use crate::demand::TaskObservation;
 use crate::incentive::{DemandBreakdown, IncentiveMechanism};
 use crate::{CoreError, DemandIndicator, RewardSchedule, RoundContext, TaskSpec};
-
-/// How [`OnDemandIncentive`] uses its per-task [`DemandCache`].
-///
-/// Every mode produces bit-identical rewards; they differ only in how
-/// much work is redone each round, which the scaling benches measure and
-/// the equivalence tests lock down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum PricingCacheMode {
-    /// Recompute every task's demand from scratch each round.
-    Disabled,
-    /// Reuse cached criterion values for clean tasks (the default):
-    /// only criteria whose inputs changed since the last round are
-    /// recomputed.
-    #[default]
-    Enabled,
-    /// Debug mode: consult the cache *and* recompute everything, then
-    /// assert the two agree to the bit. Slowest; catches any stale
-    /// cache entry at its first use.
-    FullRecompute,
-}
 
 /// The paper's demand-based dynamic incentive mechanism (§IV).
 ///
@@ -50,38 +29,18 @@ pub enum PricingCacheMode {
 /// assert_eq!(mechanism.schedule().base_reward(), 0.5); // Eq. 9
 /// # Ok::<(), paydemand_core::CoreError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnDemandIncentive {
     indicator: DemandIndicator,
     schedule: RewardSchedule,
-    cache_mode: PricingCacheMode,
-    #[serde(skip)]
-    cache: DemandCache,
-}
-
-/// Equality is over the pricing *configuration* (indicator, schedule,
-/// cache mode) — never the cache's runtime state, which is an
-/// implementation detail that two behaviourally identical mechanisms may
-/// legitimately disagree on.
-impl PartialEq for OnDemandIncentive {
-    fn eq(&self, other: &Self) -> bool {
-        self.indicator == other.indicator
-            && self.schedule == other.schedule
-            && self.cache_mode == other.cache_mode
-    }
 }
 
 impl OnDemandIncentive {
     /// Creates the mechanism from a demand indicator and a reward
-    /// schedule, with the pricing cache [enabled](PricingCacheMode::Enabled).
+    /// schedule.
     #[must_use]
     pub fn new(indicator: DemandIndicator, schedule: RewardSchedule) -> Self {
-        OnDemandIncentive {
-            indicator,
-            schedule,
-            cache_mode: PricingCacheMode::default(),
-            cache: DemandCache::new(),
-        }
+        OnDemandIncentive { indicator, schedule }
     }
 
     /// The paper's evaluation configuration for the given task set:
@@ -104,26 +63,6 @@ impl OnDemandIncentive {
         Ok(OnDemandIncentive::new(DemandIndicator::paper_default(), schedule))
     }
 
-    /// Selects how the pricing cache is used. Every mode yields
-    /// bit-identical rewards; see [`PricingCacheMode`].
-    pub fn set_cache_mode(&mut self, mode: PricingCacheMode) {
-        self.cache_mode = mode;
-        self.cache = DemandCache::new();
-    }
-
-    /// The pricing-cache mode in use.
-    #[must_use]
-    pub fn cache_mode(&self) -> PricingCacheMode {
-        self.cache_mode
-    }
-
-    /// `(hits, misses)` of the demand cache so far — diagnostics for
-    /// benches and the equivalence tests.
-    #[must_use]
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
-
     /// The demand indicator in use.
     #[must_use]
     pub fn indicator(&self) -> &DemandIndicator {
@@ -138,54 +77,22 @@ impl OnDemandIncentive {
 
     /// The demand levels this mechanism would assign for `ctx` —
     /// exposed so reports can show level trajectories, not just prices.
-    /// Always computed fresh (reporting must not disturb cache stats).
     #[must_use]
     pub fn levels_for(&self, ctx: &RoundContext) -> Vec<u32> {
-        self.uncached_demands(ctx).into_iter().map(|d| self.schedule.levels().level_of(d)).collect()
+        self.normalized_demands(ctx)
+            .into_iter()
+            .map(|d| self.schedule.levels().level_of(d))
+            .collect()
     }
 
-    fn uncached_demands(&self, ctx: &RoundContext) -> Vec<f64> {
+    /// Each task's normalised demand `d̄` (Eq. 2–5, §IV-C), in
+    /// `ctx.tasks` order.
+    fn normalized_demands(&self, ctx: &RoundContext) -> Vec<f64> {
         ctx.tasks
             .iter()
             .map(|t| {
                 let obs = observation_of(t);
                 self.indicator.normalized_demand(&obs, ctx.round, ctx.max_neighbors)
-            })
-            .collect()
-    }
-
-    /// Demands for the pricing path. Cache entries are keyed by task
-    /// *id* — `ctx.tasks` holds only the incomplete tasks, so positions
-    /// shift as tasks complete but ids are stable.
-    fn normalized_demands(&mut self, ctx: &RoundContext) -> Vec<f64> {
-        if self.cache_mode == PricingCacheMode::Disabled {
-            return self.uncached_demands(ctx);
-        }
-        let OnDemandIncentive { indicator, cache, cache_mode, .. } = self;
-        // Batched round-boundary invalidation: clear every scarcity
-        // entry staled by an N_max shift in one sweep, so the per-task
-        // loop below never pays the stale-key branch.
-        cache.begin_round(ctx.max_neighbors);
-        ctx.tasks
-            .iter()
-            .map(|t| {
-                let obs = observation_of(t);
-                match cache_mode {
-                    PricingCacheMode::FullRecompute => cache.normalized_demand_checked(
-                        indicator,
-                        t.id.0,
-                        &obs,
-                        ctx.round,
-                        ctx.max_neighbors,
-                    ),
-                    _ => cache.normalized_demand(
-                        indicator,
-                        t.id.0,
-                        &obs,
-                        ctx.round,
-                        ctx.max_neighbors,
-                    ),
-                }
             })
             .collect()
     }
@@ -212,10 +119,8 @@ impl IncentiveMechanism for OnDemandIncentive {
             .collect()
     }
 
-    /// Per-task criterion values, AHP score and mapped level — computed
-    /// fresh like [`OnDemandIncentive::levels_for`], so explaining a
-    /// round can never disturb the pricing cache. Combining the parts
-    /// through [`DemandIndicator::normalized_from_parts`] is
+    /// Per-task criterion values, AHP score and mapped level. Combining
+    /// the parts through [`DemandIndicator::normalized_from_parts`] is
     /// bit-identical to the pricing path's `normalized_demand`.
     fn explain(&self, ctx: &RoundContext) -> Option<Vec<DemandBreakdown>> {
         Some(
@@ -236,23 +141,6 @@ impl IncentiveMechanism for OnDemandIncentive {
                 })
                 .collect(),
         )
-    }
-
-    /// Routes the demand cache's hit/miss/dirty accounting to
-    /// `demand_cache_{hits,misses,dirty}_total`. Counters only observe
-    /// lookups — they cannot perturb the cached values, so pricing is
-    /// unchanged.
-    fn set_recorder(&mut self, recorder: &paydemand_obs::Recorder) {
-        self.cache.set_instruments(
-            recorder.counter("demand_cache_hits_total"),
-            recorder.counter("demand_cache_misses_total"),
-            recorder.counter("demand_cache_dirty_total"),
-            recorder.counter("demand_cache_batch_invalidated_total"),
-        );
-    }
-
-    fn cache_bytes(&self) -> usize {
-        self.cache.approx_bytes()
     }
 }
 
@@ -391,60 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn all_cache_modes_price_bit_identically() {
-        let mut cached = paper_mechanism();
-        let mut uncached = paper_mechanism();
-        uncached.set_cache_mode(PricingCacheMode::Disabled);
-        let mut checked = paper_mechanism();
-        checked.set_cache_mode(PricingCacheMode::FullRecompute);
-        for c in trajectory() {
-            let a = cached.rewards(&c, &mut rng());
-            let b = uncached.rewards(&c, &mut rng());
-            let d = checked.rewards(&c, &mut rng());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b), "round {}", c.round);
-            assert_eq!(bits(&a), bits(&d), "round {}", c.round);
-        }
-        let (hits, misses) = cached.cache_stats();
-        assert!(hits > 0, "steady-state rounds must hit the cache");
-        assert!(misses > 0);
-        assert_eq!(uncached.cache_stats(), (0, 0), "disabled mode must not touch the cache");
-    }
-
-    #[test]
-    fn equality_ignores_cache_state() {
-        let mut a = paper_mechanism();
-        let b = paper_mechanism();
-        assert_eq!(a, b);
-        let c = ctx(1, vec![snapshot(0, 9, 20, 7, 2)]);
-        a.rewards(&c, &mut rng()); // warms a's cache
-        assert_eq!(a, b, "cache contents must not affect equality");
-        let mut d = paper_mechanism();
-        d.set_cache_mode(PricingCacheMode::Disabled);
-        assert_ne!(a, d, "cache *mode* is configuration and must");
-    }
-
-    #[test]
-    fn set_cache_mode_resets_stats() {
-        let mut m = paper_mechanism();
-        let c = ctx(1, vec![snapshot(0, 9, 20, 7, 2)]);
-        m.rewards(&c, &mut rng());
-        assert_ne!(m.cache_stats(), (0, 0));
-        m.set_cache_mode(PricingCacheMode::Enabled);
-        assert_eq!(m.cache_stats(), (0, 0));
-        assert_eq!(m.cache_mode(), PricingCacheMode::Enabled);
-    }
-
-    #[test]
-    fn levels_for_leaves_cache_untouched() {
-        let m = paper_mechanism();
-        let c = ctx(3, vec![snapshot(0, 5, 20, 3, 1), snapshot(1, 12, 20, 15, 6)]);
-        let _ = m.levels_for(&c);
-        assert_eq!(m.cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn explain_agrees_with_pricing_bit_for_bit_and_skips_the_cache() {
+    fn explain_agrees_with_pricing_bit_for_bit() {
         let mut m = paper_mechanism();
         for c in trajectory() {
             let breakdowns = m.explain(&c).expect("on-demand pricing is explainable");
@@ -468,10 +303,6 @@ mod tests {
                 assert_eq!(recombined.to_bits(), b.score.to_bits());
             }
         }
-        let fresh = paper_mechanism();
-        let c = ctx(1, vec![snapshot(0, 5, 20, 3, 1)]);
-        let _ = fresh.explain(&c);
-        assert_eq!(fresh.cache_stats(), (0, 0), "explain must not touch the cache");
     }
 
     #[test]

@@ -68,12 +68,12 @@ pub mod selection;
 mod task;
 mod user;
 
-pub use demand::{DemandCache, DemandCriteria, DemandIndicator, DemandWeights};
+pub use demand::{DemandCriteria, DemandIndicator, DemandWeights};
 pub use error::CoreError;
 pub use ids::{TaskId, UserId};
 pub use incentive::DemandBreakdown;
 pub use levels::DemandLevels;
-pub use neighbors::{naive_counts_in, CellSweepCounter, IndexingMode, NeighborTracker};
+pub use neighbors::{naive_counts_in, CellSweepCounter};
 pub use platform::{Platform, PlatformState, RoundContext, TaskProgress};
 pub use reward::RewardSchedule;
 pub use task::{PublishedTask, TaskSpec};

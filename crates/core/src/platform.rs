@@ -3,11 +3,11 @@ use std::collections::HashSet;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use paydemand_geo::{GeoError, GridIndex, Point, Positions, Rect};
+use paydemand_geo::{Point, Positions, Rect};
 use paydemand_obs::{Histogram, Recorder};
 
 use crate::incentive::IncentiveMechanism;
-use crate::neighbors::{naive_counts_in, CellSweepCounter, IndexingMode, NeighborTracker};
+use crate::neighbors::CellSweepCounter;
 use crate::{CoreError, PublishedTask, TaskId, TaskSpec, UserId};
 
 /// One task's publicly observable state at a round boundary — the data
@@ -107,17 +107,9 @@ pub struct Platform<M> {
     round_receipts: Vec<Vec<u32>>,
     area: Rect,
     neighbor_radius: f64,
-    /// How neighbour counts are computed each round (Eq. 5).
-    indexing: IndexingMode,
-    /// Incremental neighbour state; lazily built on the first
-    /// [`publish_round`](Self::publish_round) under
-    /// [`IndexingMode::Incremental`].
-    tracker: Option<NeighborTracker>,
-    /// Cell-sweep state; lazily built under [`IndexingMode::CellSweep`].
+    /// Eq. 5 neighbour-count state; lazily built on the first
+    /// [`publish_round`](Self::publish_round).
     cell_counter: Option<CellSweepCounter>,
-    /// Worker threads for the cell sweep's demand phase (`0` = one per
-    /// core). Output-invariant; see [`Platform::set_demand_threads`].
-    demand_threads: usize,
     round: u32,
     round_open: bool,
     total_paid: f64,
@@ -182,10 +174,7 @@ impl<M: IncentiveMechanism> Platform<M> {
             round_receipts: vec![Vec::new(); m],
             area,
             neighbor_radius,
-            indexing: IndexingMode::default(),
-            tracker: None,
             cell_counter: None,
-            demand_threads: 1,
             round: 0,
             round_open: false,
             total_paid: 0.0,
@@ -202,21 +191,16 @@ impl<M: IncentiveMechanism> Platform<M> {
     /// Threads an observability recorder through the platform: the
     /// `demand` and `pricing` sub-phases of
     /// [`publish_round`](Self::publish_round) are timed into
-    /// `round_phase_seconds`, the neighbour tracker reports its
-    /// delta-vs-rebuild counts and the mechanism its cache statistics.
-    /// A disabled recorder (the default) records nothing and never
+    /// `round_phase_seconds` and the neighbour counter reports its
+    /// full-sweep and delta-round counts. A disabled recorder (the default) records nothing and never
     /// reads the clock, leaving behaviour bit-identical.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.recorder = recorder.clone();
         self.phase_demand = recorder.histogram_with("round_phase_seconds", "phase", "demand");
         self.phase_pricing = recorder.histogram_with("round_phase_seconds", "phase", "pricing");
-        if let Some(tracker) = &mut self.tracker {
-            tracker.set_recorder(recorder);
-        }
         if let Some(counter) = &mut self.cell_counter {
             counter.set_recorder(recorder);
         }
-        self.mechanism.set_recorder(recorder);
     }
 
     /// Controls whether incomplete tasks stay published after their
@@ -247,52 +231,12 @@ impl<M: IncentiveMechanism> Platform<M> {
         Ok(())
     }
 
-    /// Selects how per-task neighbour counts are computed (Eq. 5).
-    /// Every mode yields identical counts — the incremental default is
-    /// purely a performance choice; the others exist as differential
-    /// references and bench arms. Switching modes drops any incremental
-    /// state, so it is safe (if pointless) mid-run.
-    pub fn set_indexing_mode(&mut self, mode: IndexingMode) {
-        self.indexing = mode;
-        self.tracker = None;
-        self.cell_counter = None;
-    }
-
-    /// The neighbour-indexing mode in use.
+    /// Approximate heap footprint of the neighbour counter in bytes
+    /// (0 before the first round). Read-only; feeds the
+    /// `memory_neighbor_index_bytes` gauge.
     #[must_use]
-    pub fn indexing_mode(&self) -> IndexingMode {
-        self.indexing
-    }
-
-    /// Worker threads for the demand phase under
-    /// [`IndexingMode::CellSweep`] (`0` = one per available core).
-    /// Output-invariant: neighbour counts are integer accumulations
-    /// merged by addition, so every thread count produces bit-identical
-    /// counts (and hence bit-identical rewards). Only wall-clock time
-    /// changes.
-    pub fn set_demand_threads(&mut self, threads: usize) {
-        self.demand_threads = threads;
-        if let Some(counter) = &mut self.cell_counter {
-            counter.set_threads(threads);
-        }
-    }
-
-    /// The configured demand-phase thread count.
-    #[must_use]
-    pub fn demand_threads(&self) -> usize {
-        self.demand_threads
-    }
-
-    /// Approximate heap footprint of the platform's perf-only state,
-    /// as `(mechanism cache bytes, neighbour index bytes)` — the
-    /// demand memo arrays and whichever counting backend is live.
-    /// Read-only; feeds the `memory_demand_cache_bytes` and
-    /// `memory_neighbor_index_bytes` gauges.
-    #[must_use]
-    pub fn memory_bytes(&self) -> (usize, usize) {
-        let index = self.tracker.as_ref().map_or(0, NeighborTracker::approx_bytes)
-            + self.cell_counter.as_ref().map_or(0, CellSweepCounter::approx_bytes);
-        (self.mechanism.cache_bytes(), index)
+    pub fn memory_bytes(&self) -> usize {
+        self.cell_counter.as_ref().map_or(0, CellSweepCounter::approx_bytes)
     }
 
     /// Budget remaining under the cap (`+∞` when no cap is set).
@@ -358,7 +302,7 @@ impl<M: IncentiveMechanism> Platform<M> {
             return Err(CoreError::RoundNotOpen);
         }
         // Count neighbours before touching any round state so a bad
-        // location leaves the platform unchanged (every mode validates
+        // location leaves the platform unchanged (the counter validates
         // all locations up front, reporting the first offender).
         let demand_span = self.recorder.scoped("demand", &self.phase_demand);
         let neighbor_counts = self.neighbor_counts(user_locations)?;
@@ -459,9 +403,9 @@ impl<M: IncentiveMechanism> Platform<M> {
 
     /// Serializes the platform's mutable state at a round boundary, for
     /// checkpointing. Contributor sets are exported as sorted id lists
-    /// so the state is canonical; the neighbour tracker is a perf-only
-    /// cache (all indexing modes agree exactly) and is rebuilt on
-    /// demand after a restore rather than exported.
+    /// so the state is canonical; the neighbour counter is derived
+    /// from user positions alone and is rebuilt by a full sweep after a
+    /// restore rather than exported.
     ///
     /// # Errors
     ///
@@ -528,69 +472,24 @@ impl<M: IncentiveMechanism> Platform<M> {
         self.round_open = false;
         self.total_paid = state.total_paid;
         self.spend_cap = state.spend_cap;
-        self.tracker = None;
         self.cell_counter = None;
         Ok(())
     }
 
     /// Per-task neighbour counts (`N_i`, Eq. 5) for the current user
-    /// locations, via whichever [`IndexingMode`] is configured. All
-    /// modes agree exactly — `Point::distance_squared` is bitwise
-    /// symmetric and every mode applies the same strict `< R` test.
+    /// locations, from the cell sweep (built on first use).
     fn neighbor_counts<P: Positions + ?Sized>(
         &mut self,
         user_locations: &P,
     ) -> Result<Vec<usize>, CoreError> {
-        match self.indexing {
-            IndexingMode::Incremental => {
-                if self.tracker.is_none() {
-                    let task_locations = self.specs.iter().map(|s| s.location()).collect();
-                    let mut tracker =
-                        NeighborTracker::new(self.area, self.neighbor_radius, task_locations);
-                    tracker.set_recorder(&self.recorder);
-                    self.tracker = Some(tracker);
-                }
-                let tracker = self.tracker.as_mut().expect("initialised above");
-                Ok(tracker.counts(user_locations)?.to_vec())
-            }
-            IndexingMode::CellSweep => {
-                if self.cell_counter.is_none() {
-                    let task_locations = self.specs.iter().map(|s| s.location()).collect();
-                    let mut counter =
-                        CellSweepCounter::new(self.area, self.neighbor_radius, task_locations);
-                    counter.set_threads(self.demand_threads);
-                    counter.set_recorder(&self.recorder);
-                    self.cell_counter = Some(counter);
-                }
-                let counter = self.cell_counter.as_mut().expect("initialised above");
-                Ok(counter.counts(user_locations)?.to_vec())
-            }
-            IndexingMode::RebuildEachRound => {
-                let index = match user_locations.as_point_slice() {
-                    Some(slice) => GridIndex::build(self.area, self.neighbor_radius, slice)?,
-                    None => {
-                        let pts: Vec<Point> =
-                            (0..user_locations.len()).map(|i| user_locations.at(i)).collect();
-                        GridIndex::build(self.area, self.neighbor_radius, &pts)?
-                    }
-                };
-                Ok(self
-                    .specs
-                    .iter()
-                    .map(|s| index.count_within(s.location(), self.neighbor_radius))
-                    .collect())
-            }
-            IndexingMode::NaiveReference => {
-                for i in 0..user_locations.len() {
-                    let p = user_locations.at(i);
-                    if !self.area.contains(p) {
-                        return Err(GeoError::OutOfBounds { point: p }.into());
-                    }
-                }
-                let task_locations: Vec<Point> = self.specs.iter().map(|s| s.location()).collect();
-                Ok(naive_counts_in(&task_locations, user_locations, self.neighbor_radius))
-            }
-        }
+        let counter = self.cell_counter.get_or_insert_with(|| {
+            let task_locations = self.specs.iter().map(|s| s.location()).collect();
+            let mut counter =
+                CellSweepCounter::new(self.area, self.neighbor_radius, task_locations);
+            counter.set_recorder(&self.recorder);
+            counter
+        });
+        Ok(counter.counts(user_locations)?.to_vec())
     }
 
     /// Records one measurement of `task` by `user` during the open
@@ -932,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn indexing_modes_publish_identical_rounds() {
+    fn published_neighbor_counts_match_the_naive_scan() {
         use rand::Rng;
         let area = Rect::square(1000.0).unwrap();
         let mut move_rng = rng();
@@ -943,77 +842,46 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let build = |mode: IndexingMode| {
-            let mech = OnDemandIncentive::paper_default(&many_specs).unwrap();
-            let mut p = Platform::new(many_specs.clone(), mech, area, 200.0).unwrap();
-            p.set_indexing_mode(mode);
-            p
-        };
-        let mut incremental = build(IndexingMode::Incremental);
-        let mut rebuild = build(IndexingMode::RebuildEachRound);
-        let mut naive = build(IndexingMode::NaiveReference);
+        let locations: Vec<Point> = many_specs.iter().map(|s| s.location()).collect();
+        let mech = OnDemandIncentive::paper_default(&many_specs).unwrap();
+        let mut p = Platform::new(many_specs.clone(), mech, area, 200.0).unwrap();
+        p.set_keep_context(true);
         for round in 0..6 {
             // Move a third of the users.
             for u in users.iter_mut().skip(round % 3).step_by(3) {
                 *u = area.sample_uniform(&mut move_rng);
             }
-            let a = incremental.publish_round(&users, &mut rng()).unwrap();
-            let b = rebuild.publish_round(&users, &mut rng()).unwrap();
-            let c = naive.publish_round(&users, &mut rng()).unwrap();
-            assert_eq!(a, b, "round {round}: incremental vs rebuild");
-            assert_eq!(a, c, "round {round}: incremental vs naive");
-            // Rewards must be bit-identical, not just PartialEq-equal.
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.reward.to_bits(), y.reward.to_bits());
+            p.publish_round(&users, &mut rng()).unwrap();
+            let expected = crate::neighbors::naive_counts(&locations, &users, 200.0);
+            let ctx = p.last_round_context().unwrap();
+            assert_eq!(ctx.max_neighbors, expected.iter().copied().max().unwrap());
+            for t in &ctx.tasks {
+                assert_eq!(t.neighbors, expected[t.id.0], "round {round} task {}", t.id.0);
             }
-            // Drive some submissions so progress (and thus pricing
-            // inputs) evolve identically across the three platforms.
+            // Drive some submissions so progress evolves between rounds.
             let mut pick = rng();
             for s in 0..10u64 {
                 let uid = UserId((round as u64 * 10 + s) as usize);
-                let tid = TaskId(pick.gen_range(0..many_specs.len()));
-                let ra = incremental.submit(uid, tid);
-                let rb = rebuild.submit(uid, tid);
-                let rc = naive.submit(uid, tid);
-                assert_eq!(ra.is_ok(), rb.is_ok());
-                assert_eq!(ra.is_ok(), rc.is_ok());
+                let _ = p.submit(uid, TaskId(pick.gen_range(0..many_specs.len())));
             }
-            incremental.finish_round();
-            rebuild.finish_round();
-            naive.finish_round();
-        }
-        assert_eq!(incremental.total_paid().to_bits(), rebuild.total_paid().to_bits());
-        assert_eq!(incremental.total_paid().to_bits(), naive.total_paid().to_bits());
-    }
-
-    #[test]
-    fn all_indexing_modes_reject_out_of_area_users() {
-        for mode in [
-            IndexingMode::Incremental,
-            IndexingMode::RebuildEachRound,
-            IndexingMode::NaiveReference,
-        ] {
-            let mut p = platform();
-            p.set_indexing_mode(mode);
-            let mut r = rng();
-            // A good round first so incremental state exists.
-            p.publish_round(&[Point::new(10.0, 10.0)], &mut r).unwrap();
             p.finish_round();
-            let err = p
-                .publish_round(&[Point::new(10.0, 10.0), Point::new(-5.0, 0.0)], &mut r)
-                .unwrap_err();
-            assert!(matches!(err, CoreError::Geo(_)), "{mode:?}");
-            assert_eq!(p.round(), 1, "{mode:?}: failed publish must not advance the round");
-            // The platform still works afterwards.
-            p.publish_round(&[Point::new(10.0, 10.0)], &mut r).unwrap();
-            assert_eq!(p.round(), 2);
         }
     }
 
     #[test]
-    fn default_mode_is_incremental() {
-        let p = platform();
-        assert_eq!(p.indexing_mode(), IndexingMode::Incremental);
+    fn out_of_area_users_are_rejected_without_side_effects() {
+        let mut p = platform();
+        let mut r = rng();
+        // A good round first so the counter's delta state exists.
+        p.publish_round(&[Point::new(10.0, 10.0)], &mut r).unwrap();
+        p.finish_round();
+        let err =
+            p.publish_round(&[Point::new(10.0, 10.0), Point::new(-5.0, 0.0)], &mut r).unwrap_err();
+        assert!(matches!(err, CoreError::Geo(_)));
+        assert_eq!(p.round(), 1, "failed publish must not advance the round");
+        // The platform still works afterwards.
+        p.publish_round(&[Point::new(10.0, 10.0)], &mut r).unwrap();
+        assert_eq!(p.round(), 2);
     }
 
     #[test]

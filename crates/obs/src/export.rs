@@ -282,7 +282,7 @@ mod tests {
     /// A fixed registry used by both golden tests.
     fn fixture() -> Recorder {
         let r = Recorder::enabled();
-        r.counter("demand_cache_hits_total").add(12);
+        r.counter("cell_sweep_full_sweeps_total").add(12);
         r.counter_with("selector_solves_total", "selector", "dp").add(4);
         r.gauge("runner_queue_depth").set(0);
         // 1024 ns and 2048 ns into a *_seconds histogram → scaled.
@@ -299,8 +299,8 @@ mod tests {
     fn golden_prometheus_text() {
         let text = fixture().snapshot().to_prometheus();
         let expected = "\
-# TYPE demand_cache_hits_total counter
-demand_cache_hits_total 12
+# TYPE cell_sweep_full_sweeps_total counter
+cell_sweep_full_sweeps_total 12
 # TYPE selector_solves_total counter
 selector_solves_total{selector=\"dp\"} 4
 # TYPE runner_queue_depth gauge
@@ -326,7 +326,7 @@ round_phase_seconds_count{phase=\"pricing\"} 2
         let json = fixture().snapshot().to_json();
         let expected = "{
   \"counters\": [
-    {\"name\": \"demand_cache_hits_total\", \"labels\": {}, \"value\": 12},
+    {\"name\": \"cell_sweep_full_sweeps_total\", \"labels\": {}, \"value\": 12},
     {\"name\": \"selector_solves_total\", \"labels\": {\"selector\": \"dp\"}, \"value\": 4}
   ],
   \"gauges\": [
@@ -390,7 +390,7 @@ round_phase_seconds_count{phase=\"pricing\"} 2
     fn profile_table_lists_every_counter_series() {
         let table = fixture().snapshot().profile_table();
         assert!(table.contains("counter"));
-        assert!(table.contains("demand_cache_hits_total"));
+        assert!(table.contains("cell_sweep_full_sweeps_total"));
         assert!(table.contains("selector_solves_total{selector=\"dp\"}"));
         // A recorder with no counters renders no counter section.
         let empty = Recorder::enabled();

@@ -41,12 +41,9 @@
 //! | `engine_round_seconds` | histogram | Whole-round latency. |
 //! | `engine_rounds_total` | counter | Sensing rounds executed. |
 //! | `engine_runs_total` | counter | Complete simulation runs. |
-//! | `demand_cache_hits_total` | counter | `DemandCache` memo hits (any criterion). |
-//! | `demand_cache_misses_total` | counter | `DemandCache` cold misses (no memo entry). |
-//! | `demand_cache_dirty_total` | counter | `DemandCache` stale memo entries recomputed (key changed). |
-//! | `neighbor_delta_rounds_total` | counter | Rounds served by the incremental delta path of `NeighborTracker`. |
-//! | `neighbor_delta_updates_total` | counter | Moved users folded in via delta updates. |
-//! | `neighbor_rebuilds_total` | counter | Full spatial-index rebuilds. |
+//! | `cell_sweep_full_sweeps_total` | counter | Full Eq. 5 cell sweeps (first round, population changes). |
+//! | `cell_sweep_delta_rounds_total` | counter | Rounds served by batched dirty-cell delta updates. |
+//! | `cell_sweep_batched_moves_total` | counter | Moved users folded in via delta updates. |
 //! | `selector_solves_total{selector}` | counter | Task-selection solves per selector. |
 //! | `selector_solve_seconds{selector}` | histogram | Per-solve latency per selector. |
 //! | `selector_states_expanded_total{selector}` | counter | DP states materialised / B&B nodes visited. |
@@ -76,8 +73,7 @@
 //! | `memory_live_bytes` | gauge | Live bytes summed over every phase. |
 //! | `process_rss_bytes` | gauge | `VmRSS` from `/proc/self/status` (Linux only). |
 //! | `process_peak_rss_bytes` | gauge | `VmHWM` from `/proc/self/status` (Linux only). |
-//! | `memory_demand_cache_bytes` | gauge | Approximate heap footprint of the demand cache. |
-//! | `memory_neighbor_index_bytes` | gauge | Approximate heap footprint of the neighbour index / cell sweeper. |
+//! | `memory_neighbor_index_bytes` | gauge | Approximate heap footprint of the cell sweeper. |
 //!
 //! The `paydemand serve` daemon (the `paydemand-serve` crate) emits
 //! its ingest families through the same recorder, so they land in the
@@ -153,16 +149,16 @@
 //! use paydemand_obs::Recorder;
 //!
 //! let recorder = Recorder::enabled();
-//! let hits = recorder.counter("demand_cache_hits_total");
-//! hits.add(3);
+//! let sweeps = recorder.counter("cell_sweep_full_sweeps_total");
+//! sweeps.add(3);
 //! {
 //!     let _span = recorder.span_with("round_phase_seconds", "phase", "pricing");
 //!     // ... timed work ...
 //! }
 //! let snapshot = recorder.snapshot();
-//! assert_eq!(snapshot.counter_value("demand_cache_hits_total", None), Some(3));
+//! assert_eq!(snapshot.counter_value("cell_sweep_full_sweeps_total", None), Some(3));
 //! let text = snapshot.to_prometheus();
-//! assert!(text.contains("demand_cache_hits_total 3"));
+//! assert!(text.contains("cell_sweep_full_sweeps_total 3"));
 //! ```
 
 // `deny`, not `forbid`: the `alloc` module implements `GlobalAlloc`

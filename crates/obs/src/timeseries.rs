@@ -399,7 +399,7 @@ mod tests {
 
     fn sample_recorder(hits: u64) -> Recorder {
         let r = Recorder::enabled();
-        r.counter("demand_cache_hits_total").add(hits);
+        r.counter("cell_sweep_full_sweeps_total").add(hits);
         r.gauge("engine_retry_queue_depth").set(2);
         let h = r.histogram_with("selector_solve_seconds", "selector", "dp");
         h.record(1024);
@@ -438,7 +438,7 @@ mod tests {
   \"capacity\": 4,
   \"dropped\": 0,
   \"rounds\": [
-    {\"round\": 1, \"counters\": [{\"name\": \"demand_cache_hits_total\", \"labels\": {}, \"value\": 12}], \"gauges\": [{\"name\": \"engine_retry_queue_depth\", \"labels\": {}, \"value\": 2}], \"histograms\": [{\"name\": \"selector_solve_seconds\", \"labels\": {\"selector\": \"dp\"}, \"count\": 2, \"sum\": 5120, \"min\": 1024, \"max\": 4096, \"buckets\": [0,0,0,0,0,0,0,0,0,0,1,0,1]}]}
+    {\"round\": 1, \"counters\": [{\"name\": \"cell_sweep_full_sweeps_total\", \"labels\": {}, \"value\": 12}], \"gauges\": [{\"name\": \"engine_retry_queue_depth\", \"labels\": {}, \"value\": 2}], \"histograms\": [{\"name\": \"selector_solve_seconds\", \"labels\": {\"selector\": \"dp\"}, \"count\": 2, \"sum\": 5120, \"min\": 1024, \"max\": 4096, \"buckets\": [0,0,0,0,0,0,0,0,0,0,1,0,1]}]}
   ]
 }
 ";
@@ -450,7 +450,7 @@ mod tests {
         let ts = TimeSeries::with_capacity(4);
         ts.record(1, sample_recorder(12).snapshot());
         let expected = "round,kind,metric,value
-1,counter,demand_cache_hits_total,12
+1,counter,cell_sweep_full_sweeps_total,12
 1,gauge,engine_retry_queue_depth,2
 1,histogram,selector_solve_seconds{selector=dp}:count,2
 1,histogram,selector_solve_seconds{selector=dp}:sum,0.00000512

@@ -339,9 +339,9 @@ impl SimulationResult {
 
     /// Whether two runs produced the same *observable* outcome —
     /// everything except the scenario that configured them. This is how
-    /// the equivalence tests and scaling benches state "the indexing /
-    /// caching mode is performance-only": runs under different modes
-    /// have unequal scenarios but must be observationally equal.
+    /// tests state that a scenario difference with no observable effect
+    /// (an empty fault plan, a resume) changes nothing: such runs have
+    /// unequal scenarios but must be observationally equal.
     #[must_use]
     pub fn observationally_eq(&self, other: &Self) -> bool {
         self.workload == other.workload
@@ -368,8 +368,8 @@ pub fn run(scenario: &Scenario) -> Result<SimulationResult, SimError> {
     run_recorded(scenario, &Recorder::disabled())
 }
 
-/// [`run`], with the engine's phase timings, mechanism cache counters
-/// and selector work counters reported to `recorder`. A disabled
+/// [`run`], with the engine's phase timings, neighbour-counting
+/// counters and selector work counters reported to `recorder`. A disabled
 /// recorder makes this exactly [`run`]: no clock reads, no storage, and
 /// a result byte-identical to the unrecorded run (the determinism test
 /// battery enforces this).
@@ -644,8 +644,6 @@ impl Engine {
             platform.set_spend_cap(scenario.reward_budget)?;
         }
         platform.set_publish_expired(scenario.publish_expired);
-        platform.set_indexing_mode(scenario.indexing);
-        platform.set_demand_threads(scenario.demand_threads);
         platform.set_recorder(recorder);
         let travel_rng_state = rng.to_state();
         let travel = TravelContext::for_scenario(scenario, workload.area, &mut rng)?;
@@ -1329,10 +1327,8 @@ impl Engine {
         if !self.recorder.alloc_profile_enabled() {
             return;
         }
-        let (cache_bytes, index_bytes) = self.platform.memory_bytes();
-        let clamp = |b: usize| i64::try_from(b).unwrap_or(i64::MAX);
-        self.recorder.gauge("memory_demand_cache_bytes").set(clamp(cache_bytes));
-        self.recorder.gauge("memory_neighbor_index_bytes").set(clamp(index_bytes));
+        let index_bytes = i64::try_from(self.platform.memory_bytes()).unwrap_or(i64::MAX);
+        self.recorder.gauge("memory_neighbor_index_bytes").set(index_bytes);
         self.recorder.sample_alloc();
     }
 
@@ -1593,12 +1589,10 @@ pub(crate) fn build_mechanism(
         levels,
     )?;
     Ok(match scenario.mechanism {
-        MechanismKind::OnDemand => {
-            let mut inner =
-                OnDemandIncentive::new(paydemand_core::DemandIndicator::paper_default(), schedule);
-            inner.set_cache_mode(scenario.pricing_cache);
-            Box::new(inner)
-        }
+        MechanismKind::OnDemand => Box::new(OnDemandIncentive::new(
+            paydemand_core::DemandIndicator::paper_default(),
+            schedule,
+        )),
         MechanismKind::Fixed => Box::new(FixedIncentive::new(schedule)),
         MechanismKind::Steered => Box::new(SteeredIncentive::budget_matched()),
         MechanismKind::SteeredPaperConstants => Box::new(SteeredIncentive::paper_constants()),
@@ -1607,9 +1601,8 @@ pub(crate) fn build_mechanism(
             schedule,
         )),
         MechanismKind::Hybrid { alpha } => {
-            let mut inner =
+            let inner =
                 OnDemandIncentive::new(paydemand_core::DemandIndicator::paper_default(), schedule);
-            inner.set_cache_mode(scenario.pricing_cache);
             let flat = scenario.reward_budget / scenario.total_required() as f64;
             Box::new(HybridIncentive::new(inner, alpha, flat)?)
         }

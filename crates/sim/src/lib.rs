@@ -60,8 +60,6 @@ mod workload;
 
 pub use engine::{Engine, EventOutcome, ExternalEvent, RoundRecord, SimulationResult, TaskStatus};
 pub use error::SimError;
-pub use paydemand_core::incentive::PricingCacheMode;
-pub use paydemand_core::IndexingMode;
 pub use paydemand_faults::{FaultKind, FaultPlan};
 pub use replay::{ReplayError, ReplaySummary};
 pub use scenario::{MechanismKind, Scenario, SelectorKind, TravelModel, UserMotion};

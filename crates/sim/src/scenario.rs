@@ -1,7 +1,5 @@
 use serde::{Deserialize, Serialize};
 
-use paydemand_core::incentive::PricingCacheMode;
-use paydemand_core::IndexingMode;
 use paydemand_geo::placement::Placement;
 
 use crate::SimError;
@@ -213,20 +211,6 @@ pub struct Scenario {
     pub mechanism: MechanismKind,
     /// The task-selection algorithm users run.
     pub selector: SelectorKind,
-    /// How the platform computes per-task neighbour counts (Eq. 5).
-    /// Every mode produces identical results; non-default modes exist as
-    /// differential references and bench arms.
-    pub indexing: IndexingMode,
-    /// Worker threads the demand phase may use inside a round (only the
-    /// [`IndexingMode::CellSweep`] backend parallelises; other modes
-    /// ignore this). Purely a performance knob: counts merge by integer
-    /// addition, so results are bit-identical for every value. `0`
-    /// means "all available cores"; `1` (the default) stays serial.
-    pub demand_threads: usize,
-    /// How the on-demand mechanism's pricing cache is used. Every mode
-    /// produces bit-identical rewards; `FullRecompute` additionally
-    /// asserts the cache against a from-scratch recompute each round.
-    pub pricing_cache: PricingCacheMode,
     /// Faults to inject during the run, if any. The fault machinery
     /// draws from its own RNG stream (seeded from `seed` mixed with the
     /// plan's fault seed), so `None` and an empty plan are bitwise
@@ -268,9 +252,6 @@ impl Scenario {
             sensing_seconds: 0.0,
             mechanism: MechanismKind::OnDemand,
             selector: SelectorKind::Dp { candidate_cap: Some(14) },
-            indexing: IndexingMode::default(),
-            demand_threads: 1,
-            pricing_cache: PricingCacheMode::default(),
             faults: None,
             seed: 0x5EED,
         }
@@ -329,29 +310,6 @@ impl Scenario {
     #[must_use]
     pub fn with_time_budget_range(mut self, lo: f64, hi: f64) -> Self {
         self.time_budget_range = (lo, hi);
-        self
-    }
-
-    /// Sets the neighbour-indexing mode.
-    #[must_use]
-    pub fn with_indexing(mut self, indexing: IndexingMode) -> Self {
-        self.indexing = indexing;
-        self
-    }
-
-    /// Sets the demand-phase thread count (`0` = all cores). Output is
-    /// bit-identical for every value; see
-    /// [`demand_threads`](Self::demand_threads).
-    #[must_use]
-    pub fn with_demand_threads(mut self, threads: usize) -> Self {
-        self.demand_threads = threads;
-        self
-    }
-
-    /// Sets the pricing-cache mode.
-    #[must_use]
-    pub fn with_pricing_cache(mut self, mode: PricingCacheMode) -> Self {
-        self.pricing_cache = mode;
         self
     }
 
@@ -493,11 +451,7 @@ mod tests {
             .with_seed(9)
             .with_max_rounds(7)
             .with_neighbor_radius(500.0)
-            .with_time_budget_range(100.0, 200.0)
-            .with_indexing(IndexingMode::NaiveReference)
-            .with_pricing_cache(PricingCacheMode::Disabled);
-        assert_eq!(s.indexing, IndexingMode::NaiveReference);
-        assert_eq!(s.pricing_cache, PricingCacheMode::Disabled);
+            .with_time_budget_range(100.0, 200.0);
         assert_eq!(s.users, 40);
         assert_eq!(s.tasks, 10);
         assert_eq!(s.mechanism, MechanismKind::Fixed);

@@ -14,8 +14,7 @@
 
 use paydemand::obs::Recorder;
 use paydemand::sim::{
-    engine, runner, Engine, FaultKind, FaultPlan, IndexingMode, MechanismKind, Scenario,
-    SelectorKind,
+    engine, runner, Engine, FaultKind, FaultPlan, MechanismKind, Scenario, SelectorKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,17 +141,24 @@ fn resume_at_every_round_boundary_matches_uninterrupted() {
 
 #[test]
 fn cell_sweep_checkpoints_round_trip_byte_identically_at_every_boundary() {
-    // The cell-sweep backend stores positions in a struct-of-arrays
-    // layout; the PDCK wire format must not notice. Two properties at
-    // every round boundary, faults active: (1) checkpoint → resume →
-    // checkpoint reproduces the exact bytes, (2) the resumed chain
-    // finishes identical to the uninterrupted run.
-    for seed in [5u64, 42] {
-        let scenario = Scenario { faults: Some(plan_for(seed)), ..chaos_scenario() }
-            .with_seed(seed)
-            .with_indexing(IndexingMode::CellSweep)
-            .with_demand_threads(2);
+    // The cell sweep stores positions in a struct-of-arrays layout;
+    // the PDCK wire format must not notice. Three properties, faults
+    // active: (1) the uninterrupted run reproduces the outcome of a
+    // reference run that counted neighbours with the naive scan (total
+    // paid bits and per-task measurements, pinned), and at every round
+    // boundary (2) checkpoint → resume → checkpoint reproduces the
+    // exact bytes, (3) the resumed chain finishes identical to the
+    // uninterrupted run.
+    let pinned: [(u64, u64, [u32; 6]); 2] = [
+        (5, 0x4077_2fff_ffff_fffd, [10, 10, 10, 10, 10, 4]),
+        (42, 0x4076_6d55_5555_5553, [7, 8, 8, 11, 9, 9]),
+    ];
+    for (seed, paid_bits, received) in pinned {
+        let scenario =
+            Scenario { faults: Some(plan_for(seed)), ..chaos_scenario() }.with_seed(seed);
         let uninterrupted = engine::run(&scenario).unwrap();
+        assert_eq!(uninterrupted.total_paid.to_bits(), paid_bits, "seed {seed}: total paid");
+        assert_eq!(uninterrupted.received, received, "seed {seed}: per-task measurements");
         let recorder = Recorder::disabled();
         let mut engine = Engine::new(&scenario, &recorder).unwrap();
         let mut boundaries = 0;

@@ -1,38 +1,34 @@
-//! Differential battery for the Eq. 5 demand backends.
+//! Differential battery for the Eq. 5 cell sweep.
 //!
-//! The cell-centric sweep, the per-user incremental tracker and the
-//! naive pairwise scan are three implementations of the same function:
-//! per-task neighbour counts under the strict `distance < R` predicate.
-//! This battery locks their equality — not approximately, but bitwise,
-//! since counts are integers and every reward downstream is a pure
-//! function of them:
+//! The cell-centric sweep and the naive pairwise scan are two
+//! implementations of the same function: per-task neighbour counts
+//! under the strict `distance < R` predicate. This battery locks their
+//! equality — not approximately, but bitwise, since counts are integers
+//! and every reward downstream is a pure function of them:
 //!
-//! * 250+ seeded primitive instances (random geometry, churn, thread
-//!   counts 1/2/4/8 with the parallel paths force-enabled) where every
-//!   round's counts are compared across all three backends;
+//! * 250 seeded primitive instances (random geometry and churn) where
+//!   every round's counts from the sweep, fed both position layouts,
+//!   are compared against `naive_counts_in`;
 //! * adversarial geometry woven through the instance stream: users
 //!   exactly at distance `R`, positions on cell boundaries, the whole
 //!   population crowded into one grid cell, empty worlds, and a radius
 //!   larger than the arena;
-//! * full engine runs where `IndexingMode::CellSweep` must be
-//!   observationally equivalent to the incremental and naive modes,
-//!   with faults on and off and demand threads 1/2/4/8.
+//! * full engine runs pinned to the outcome of reference runs that
+//!   counted neighbours with the naive scan, with faults on and off.
 
-use paydemand::core::neighbors::{naive_counts_in, CellSweepCounter, NeighborTracker};
+use paydemand::core::neighbors::{naive_counts_in, CellSweepCounter};
 use paydemand::geo::{CellSweeper, Point, PositionStore, Rect};
 use paydemand::sim::{
-    engine, FaultKind, FaultPlan, IndexingMode, MechanismKind, Scenario, SelectorKind,
+    engine, FaultKind, FaultPlan, MechanismKind, Scenario, SelectorKind, SimulationResult,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Seeded instances in the primitive battery. Each instance runs
-/// several churn rounds, and every round checks all three backends, so
-/// the effective number of differential checks is several times this.
+/// several churn rounds, and every round checks the sweep against the
+/// naive scan, so the effective number of differential checks is
+/// several times this.
 const INSTANCES: u64 = 250;
-
-/// Thread counts the cell backend cycles through.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// One instance's world: geometry plus the initial population.
 struct Instance {
@@ -112,7 +108,7 @@ fn build_instance(k: u64, scale: usize) -> Instance {
     if k % 13 == 11 {
         // Boundary lattice: tasks on cell corners, users on cell
         // boundaries and exactly at distance R from the first task —
-        // the strict predicate must exclude them, in every backend.
+        // the strict predicate must exclude them.
         let radius = side / 5.0;
         let mut tasks = Vec::new();
         for i in 0..4u32 {
@@ -149,53 +145,39 @@ fn build_instance(k: u64, scale: usize) -> Instance {
     }
 }
 
-/// The backends under test for one instance, primed once and stepped
+/// The sweeps under test for one instance, primed once and stepped
 /// through the same churn sequence.
-struct Backends {
-    tracker: NeighborTracker,
-    cell_serial: CellSweeper,
-    cell_threaded: CellSweeper,
-    cell_counter: CellSweepCounter,
+struct Sweeps {
+    /// Fed an array-of-structs slice.
+    sweeper: CellSweeper,
+    /// The platform's wrapper, fed the struct-of-arrays store the
+    /// engine actually passes.
+    counter: CellSweepCounter,
 }
 
-impl Backends {
-    fn new(inst: &Instance, threads: usize) -> Backends {
-        let mut cell_threaded = CellSweeper::new(inst.area, inst.radius, inst.tasks.clone());
-        // Force the threaded merge paths even at battery-sized
-        // populations; the floors are performance knobs only.
-        cell_threaded.set_parallel_floors(0, 0);
-        let mut cell_counter = CellSweepCounter::new(inst.area, inst.radius, inst.tasks.clone());
-        cell_counter.set_threads(threads);
-        cell_counter.set_parallel_floors(0, 0);
-        Backends {
-            tracker: NeighborTracker::new(inst.area, inst.radius, inst.tasks.clone()),
-            cell_serial: CellSweeper::new(inst.area, inst.radius, inst.tasks.clone()),
-            cell_threaded,
-            cell_counter,
+impl Sweeps {
+    fn new(inst: &Instance) -> Sweeps {
+        Sweeps {
+            sweeper: CellSweeper::new(inst.area, inst.radius, inst.tasks.clone()),
+            counter: CellSweepCounter::new(inst.area, inst.radius, inst.tasks.clone()),
         }
     }
 
-    /// Asserts every backend agrees with the naive reference on the
+    /// Asserts both sweeps agree with the naive reference on the
     /// current positions.
-    fn check(&mut self, inst: &Instance, threads: usize, round: usize) {
-        let tag = format!("shape {} threads {threads} round {round}", inst.shape);
+    fn check(&mut self, inst: &Instance, round: usize) {
+        let tag = format!("shape {} round {round}", inst.shape);
         let expected = naive_counts_in(&inst.tasks, inst.users.as_slice(), inst.radius);
-        let tracker = self.tracker.counts(inst.users.as_slice()).unwrap().to_vec();
-        assert_eq!(tracker, expected, "tracker vs naive: {tag}");
-        let serial = self.cell_serial.counts(inst.users.as_slice(), 1).unwrap().to_vec();
-        assert_eq!(serial, expected, "cell serial vs naive: {tag}");
-        let threaded = self.cell_threaded.counts(inst.users.as_slice(), threads).unwrap().to_vec();
-        assert_eq!(threaded, expected, "cell threaded vs naive: {tag}");
-        // The SoA store is the layout the engine actually feeds the
-        // platform: same positions, same bits, via the core wrapper.
+        let swept = self.sweeper.counts(inst.users.as_slice()).unwrap().to_vec();
+        assert_eq!(swept, expected, "cell sweep vs naive: {tag}");
         let store = PositionStore::from_points(&inst.users);
-        let counter = self.cell_counter.counts(&store).unwrap().to_vec();
+        let counter = self.counter.counts(&store).unwrap().to_vec();
         assert_eq!(counter, expected, "cell counter (SoA) vs naive: {tag}");
     }
 }
 
 #[test]
-fn battery_cell_equals_incremental_equals_naive() {
+fn battery_cell_sweep_equals_naive() {
     // Debug builds (tier-1 `cargo test`) keep the full instance count
     // but smaller populations; release builds widen the worlds.
     let scale = if cfg!(debug_assertions) { 1 } else { 4 };
@@ -203,17 +185,16 @@ fn battery_cell_equals_incremental_equals_naive() {
     for k in 0..INSTANCES {
         let mut inst = build_instance(k, scale);
         shapes_seen.insert(inst.shape);
-        let threads = THREADS[(k % 4) as usize];
-        let mut backends = Backends::new(&inst, threads);
+        let mut sweeps = Sweeps::new(&inst);
         let mut rng = StdRng::seed_from_u64(0xC4_0213 ^ k);
-        backends.check(&inst, threads, 0);
+        sweeps.check(&inst, 0);
         let rounds = if inst.users.is_empty() { 1 } else { 3 };
         for round in 1..=rounds {
             for _ in 0..inst.churn.min(inst.users.len()) {
                 let who = rng.gen_range(0..inst.users.len());
                 inst.users[who] = inst.area.sample_uniform(&mut rng);
             }
-            backends.check(&inst, threads, round);
+            sweeps.check(&inst, round);
         }
     }
     // The stream really does contain every adversarial shape.
@@ -227,19 +208,19 @@ fn battery_cell_equals_incremental_equals_naive() {
 #[test]
 fn population_churn_matches_across_backends() {
     // Users joining and leaving between rounds (population resizes)
-    // force full rebuilds in both incremental backends; the counts must
-    // still match naive at every step.
+    // force full sweeps; the counts must still match naive at every
+    // step, for both position layouts.
     let area = Rect::square(1200.0).unwrap();
     let mut rng = StdRng::seed_from_u64(0x90_90_90);
     let tasks = sample(area, &mut rng, 18);
-    let mut tracker = NeighborTracker::new(area, 150.0, tasks.clone());
     let mut sweeper = CellSweeper::new(area, 150.0, tasks.clone());
-    sweeper.set_parallel_floors(0, 0);
+    let mut counter = CellSweepCounter::new(area, 150.0, tasks.clone());
     for (round, n) in [40usize, 55, 0, 25, 25, 120, 1].into_iter().enumerate() {
         let users = sample(area, &mut rng, n);
         let expected = naive_counts_in(&tasks, users.as_slice(), 150.0);
-        assert_eq!(tracker.counts(users.as_slice()).unwrap(), &expected[..], "round {round}");
-        assert_eq!(sweeper.counts(users.as_slice(), 4).unwrap(), &expected[..], "round {round}");
+        assert_eq!(sweeper.counts(users.as_slice()).unwrap(), &expected[..], "round {round}");
+        let store = PositionStore::from_points(&users);
+        assert_eq!(counter.counts(&store).unwrap(), &expected[..], "round {round}");
     }
 }
 
@@ -253,27 +234,30 @@ fn engine_scenario(seed: u64) -> Scenario {
         .with_seed(seed)
 }
 
+/// A reference outcome: `total_paid` bits and per-task measurements.
+type Pinned = (u64, [u32; 10]);
+
+fn assert_pinned(run: &SimulationResult, (paid_bits, received): Pinned, tag: &str) {
+    assert_eq!(
+        run.total_paid.to_bits(),
+        paid_bits,
+        "{tag}: total paid {} diverged from the naive reference {}",
+        run.total_paid,
+        f64::from_bits(paid_bits)
+    );
+    assert_eq!(run.received, received, "{tag}: per-task measurements diverged");
+}
+
 #[test]
 fn engine_cell_sweep_is_observationally_equivalent() {
-    for seed in [3u64, 0xD5EED, 0xBEE] {
-        let base = engine_scenario(seed);
-        let naive = engine::run(&base.clone().with_indexing(IndexingMode::NaiveReference)).unwrap();
-        let incremental =
-            engine::run(&base.clone().with_indexing(IndexingMode::Incremental)).unwrap();
-        assert!(
-            naive.observationally_eq(&incremental),
-            "seed {seed}: incremental diverged from naive"
-        );
-        for threads in THREADS {
-            let cell = engine::run(
-                &base.clone().with_indexing(IndexingMode::CellSweep).with_demand_threads(threads),
-            )
-            .unwrap();
-            assert!(
-                naive.observationally_eq(&cell),
-                "seed {seed}: cell sweep (threads {threads}) diverged from naive"
-            );
-        }
+    let pinned: [(u64, Pinned); 3] = [
+        (3, (0x4085_c400_0000_0000, [20, 20, 20, 20, 20, 20, 20, 20, 17, 20])),
+        (0xD5EED, (0x4086_b000_0000_0000, [20; 10])),
+        (0xBEE, (0x4084_a000_0000_0000, [17, 17, 20, 20, 20, 20, 17, 20, 17, 20])),
+    ];
+    for (seed, expected) in pinned {
+        let run = engine::run(&engine_scenario(seed)).unwrap();
+        assert_pinned(&run, expected, &format!("seed {seed}"));
     }
 }
 
@@ -288,43 +272,29 @@ fn engine_cell_sweep_is_equivalent_under_faults() {
         .with(FaultKind::GpsNoise { sigma: 40.0 })
         .with(FaultKind::StragglerUploads { rate: 0.2, max_retries: 2, backoff_rounds: 1 })
         .with(FaultKind::BudgetShock { round: 3, factor: 0.5 });
-    for seed in [11u64, 0xD5EED] {
-        let base = engine_scenario(seed).with_faults(plan.clone());
-        let incremental =
-            engine::run(&base.clone().with_indexing(IndexingMode::Incremental)).unwrap();
-        for threads in [1usize, 4] {
-            let cell = engine::run(
-                &base.clone().with_indexing(IndexingMode::CellSweep).with_demand_threads(threads),
-            )
-            .unwrap();
-            assert!(
-                incremental.observationally_eq(&cell),
-                "seed {seed} threads {threads}: cell sweep diverged under faults"
-            );
-        }
+    let pinned: [(u64, Pinned); 2] = [
+        (11, (0x4083_4000_0000_0000, [14, 18, 18, 17, 18, 17, 17, 18, 17, 17])),
+        (0xD5EED, (0x4084_d800_0000_0000, [20, 19, 20, 14, 20, 20, 20, 20, 20, 16])),
+    ];
+    for (seed, expected) in pinned {
+        let run = engine::run(&engine_scenario(seed).with_faults(plan.clone())).unwrap();
+        assert_pinned(&run, expected, &format!("seed {seed} under faults"));
     }
 }
 
 #[test]
-fn large_population_parallel_sweep_matches_serial() {
-    // One sized instance where the parallel dispatch triggers at its
-    // *real* floors (no test hook): full sweep and delta rounds both.
+fn large_population_sweep_matches_naive() {
+    // One sized instance with heavy churn: the full sweep and the
+    // batched delta rounds both against the naive scan.
     let (n, moves) = if cfg!(debug_assertions) { (2_000, 600) } else { (40_000, 12_000) };
     let area = Rect::square(3000.0).unwrap();
     let mut rng = StdRng::seed_from_u64(0x1A96E);
     let tasks = sample(area, &mut rng, 50);
     let mut users = sample(area, &mut rng, n);
-    let mut serial = CellSweeper::new(area, 200.0, tasks.clone());
-    let mut parallel = CellSweeper::new(area, 200.0, tasks.clone());
-    if cfg!(debug_assertions) {
-        // Keep the threaded paths exercised at the reduced size too.
-        parallel.set_parallel_floors(0, 0);
-    }
+    let mut sweeper = CellSweeper::new(area, 200.0, tasks.clone());
     for round in 0..3 {
-        let expected = serial.counts(users.as_slice(), 1).unwrap().to_vec();
-        let got = parallel.counts(users.as_slice(), 8).unwrap().to_vec();
-        assert_eq!(got, expected, "round {round}");
-        assert_eq!(expected, naive_counts_in(&tasks, users.as_slice(), 200.0), "round {round}");
+        let got = sweeper.counts(users.as_slice()).unwrap().to_vec();
+        assert_eq!(got, naive_counts_in(&tasks, users.as_slice(), 200.0), "round {round}");
         for _ in 0..moves {
             let who = rng.gen_range(0..users.len());
             users[who] = area.sample_uniform(&mut rng);

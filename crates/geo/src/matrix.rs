@@ -6,10 +6,12 @@ use crate::{GeoError, Point};
 
 /// A dense, symmetric matrix of pairwise Euclidean distances.
 ///
-/// The task-selection solvers repeatedly look up distances between the
-/// user's start location and task locations; precomputing them once per
-/// round turns each lookup into an array read. Only the upper triangle is
-/// stored.
+/// A table is worth building when a distance is expensive to compute and
+/// read many times: road-network shortest paths
+/// ([`RoadNetwork::travel_matrix`](crate::network::RoadNetwork::travel_matrix))
+/// or street-grid costs behind a routing cost matrix. Straight-line task
+/// distances are cheaper to compute on demand than to tabulate for every
+/// selection problem. Only the upper triangle is stored.
 ///
 /// # Examples
 ///
@@ -108,17 +110,6 @@ impl DistanceMatrix {
     pub fn max_distance(&self) -> Option<f64> {
         self.tri.iter().copied().fold(None, |acc, d| Some(acc.map_or(d, |m: f64| m.max(d))))
     }
-
-    /// Total length of the path visiting `order` of point indices in
-    /// sequence (not a cycle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index in `order` is out of range.
-    #[must_use]
-    pub fn path_length(&self, order: &[usize]) -> f64 {
-        order.windows(2).map(|w| self.get(w[0], w[1])).sum()
-    }
 }
 
 impl fmt::Display for DistanceMatrix {
@@ -187,14 +178,6 @@ mod tests {
         assert_eq!(single.len(), 1);
         assert_eq!(single.get(0, 0), 0.0);
         assert_eq!(single.max_distance(), None);
-    }
-
-    #[test]
-    fn path_length_sums_segments() {
-        let m = DistanceMatrix::from_points(&sample_points());
-        assert_eq!(m.path_length(&[0, 2, 1]), 3.0 + 4.0);
-        assert_eq!(m.path_length(&[0]), 0.0);
-        assert_eq!(m.path_length(&[]), 0.0);
     }
 
     #[test]

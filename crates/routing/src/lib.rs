@@ -6,8 +6,9 @@
 //! reduces the orienteering problem to it, so it is NP-hard. This crate
 //! implements the machinery:
 //!
-//! * [`CostMatrix`] — start location + task locations, all pairwise
-//!   distances precomputed;
+//! * [`CostMatrix`] — travel distances from the start location to each
+//!   task and between tasks (Euclidean ones computed on demand, other
+//!   costs from a precomputed table);
 //! * [`subset_dp`] — the paper's bitmask dynamic program over
 //!   `dp[mask][j]` (Eq. 11–12), with budget pruning so that only
 //!   reachable subsets are expanded;

@@ -28,8 +28,6 @@
 //! Decoding never panics on corrupt input: every read is
 //! bounds-checked and surfaces [`SimError::Checkpoint`].
 
-use std::collections::HashSet;
-
 use bytes::{Buf, BufMut, BytesMut};
 use rand::rngs::StdRng;
 
@@ -120,12 +118,11 @@ pub(crate) fn encode(engine: &Engine) -> Result<Vec<u8>, SimError> {
     for p in engine.locations.iter() {
         put_point(&mut buf, p);
     }
-    for set in &engine.contributed {
-        let mut ids: Vec<u32> = set.iter().map(|t| t.0 as u32).collect();
-        ids.sort_unstable();
+    // Each list is already sorted ascending, the order resume demands.
+    for ids in &engine.contributed {
         buf.put_u32_le(ids.len() as u32);
         for id in ids {
-            buf.put_u32_le(id);
+            buf.put_u32_le(id.0 as u32);
         }
     }
     for &q in &engine.quality_received {
@@ -379,14 +376,32 @@ pub(crate) fn resume(
     for _ in 0..n {
         locations.push(r.point()?);
     }
-    let mut contributed: Vec<HashSet<TaskId>> = Vec::new();
-    for _ in 0..n {
+    let mut contributed: Vec<Vec<TaskId>> = Vec::new();
+    for user in 0..n {
         let k = r.count()?;
-        let mut set = HashSet::new();
-        for _ in 0..k {
-            set.insert(TaskId(r.u32()? as usize));
+        if k > m {
+            return Err(SimError::checkpoint(format!(
+                "user {user} contributed to {k} tasks, more than the {m} that exist"
+            )));
         }
-        contributed.push(set);
+        let mut ids: Vec<TaskId> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let id = TaskId(r.u32()? as usize);
+            if id.0 >= m {
+                return Err(SimError::checkpoint(format!(
+                    "user {user} contributed to unknown task {}",
+                    id.0
+                )));
+            }
+            if ids.last().is_some_and(|&last| last >= id) {
+                return Err(SimError::checkpoint(format!(
+                    "user {user}'s contributed tasks are not strictly ascending at task {}",
+                    id.0
+                )));
+            }
+            ids.push(id);
+        }
+        contributed.push(ids);
     }
     let mut quality_received = Vec::new();
     for _ in 0..m {
@@ -657,6 +672,62 @@ mod tests {
         bytes[4] = VERSION + 1;
         let err = Engine::resume(&s, &bytes, &Recorder::disabled()).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    /// Byte offset of the `contributed` section: the fixed header, the
+    /// workload and the user locations precede it.
+    fn contributed_offset(n: usize, m: usize) -> usize {
+        let header = 4 + 1 + 8 + 4 + 1 + 32 + 32;
+        let workload = 32 + 4 + m * 24 + 4 + n * 40 + n * 8 + m * 8;
+        header + workload + n * 16
+    }
+
+    #[test]
+    fn malformed_contributed_lists_are_rejected() {
+        let s = scenario();
+        let mut engine = Engine::new(&s, &Recorder::disabled()).unwrap();
+        engine.step_round().unwrap();
+        let (n, m) = (engine.num_users(), engine.num_tasks());
+        let bytes = engine.checkpoint().unwrap();
+        let user = engine.contributed.iter().position(|ids| ids.len() >= 2).unwrap();
+        let (a, b) = (engine.contributed[user][0].0 as u32, engine.contributed[user][1].0 as u32);
+
+        // Find the user's `[k][ids…]` segment, checking the walk against
+        // the engine's own lists.
+        let mut at = contributed_offset(n, m);
+        for (u, ids) in engine.contributed.iter().enumerate() {
+            let k = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            assert_eq!(k, ids.len(), "contributed section misaligned at user {u}");
+            if u == user {
+                break;
+            }
+            at += 4 + 4 * k;
+        }
+        let end = at + 4 + 4 * engine.contributed[user].len();
+        let with_list = |ids: &[u32]| {
+            let mut out = bytes[..at].to_vec();
+            out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+            for id in ids {
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+            out.extend_from_slice(&bytes[end..]);
+            out
+        };
+
+        assert!(Engine::resume(&s, &with_list(&[a, b]), &Recorder::disabled()).is_ok());
+        let too_many: Vec<u32> = (0..=m as u32).map(|i| i % m as u32).collect();
+        for (case, ids) in [
+            ("duplicate", vec![a, a]),
+            ("unsorted", vec![b, a]),
+            ("out of range", vec![a, m as u32]),
+            ("more than m", too_many),
+        ] {
+            let result = Engine::resume(&s, &with_list(&ids), &Recorder::disabled());
+            assert!(
+                matches!(result, Err(SimError::Checkpoint { .. })),
+                "{case} contributed list {ids:?} was accepted"
+            );
+        }
     }
 
     #[test]

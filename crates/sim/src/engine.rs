@@ -43,7 +43,6 @@
 //!   round (zero if the task is withheld then), or abandoned once the
 //!   task completes or the retry budget runs out.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 
@@ -567,7 +566,9 @@ pub struct Engine {
     pub(crate) platform: Platform<Box<dyn IncentiveMechanism>>,
     pub(crate) selector: Box<dyn TaskSelector>,
     pub(crate) locations: PositionStore,
-    pub(crate) contributed: Vec<HashSet<TaskId>>,
+    /// Per user, the tasks they have contributed to (uploads in flight
+    /// and lost ones included), sorted ascending without duplicates.
+    pub(crate) contributed: Vec<Vec<TaskId>>,
     pub(crate) quality_received: Vec<f64>,
     pub(crate) estimates: Vec<crate::sensing::Estimate>,
     pub(crate) wander: Vec<MobilityState>,
@@ -679,7 +680,7 @@ impl Engine {
             platform,
             selector,
             locations,
-            contributed: vec![HashSet::new(); n],
+            contributed: vec![Vec::new(); n],
             quality_received: vec![0.0f64; m],
             estimates: vec![crate::sensing::Estimate::default(); m],
             wander,
@@ -1050,6 +1051,22 @@ impl Engine {
             .collect::<Result<_, _>>()?;
         self.process_retries(round, &mut new_measurements, &mut user_profits)?;
 
+        // Published tasks still short of φ, in published order. Only a
+        // submit in the loop below raises `received` from here on, and
+        // the submit that fills a task removes it, so every user sees
+        // exactly the tasks that are incomplete at their turn.
+        let mut open: Vec<PublishedTask> = Vec::with_capacity(published.len());
+        for t in &published {
+            let received = self.platform.received(t.id).map_err(|_| {
+                SimError::invariant(format!("published task {} is unknown to the platform", t.id.0))
+            })?;
+            if received < self.workload.tasks[t.id.0].required() {
+                open.push(*t);
+            }
+        }
+        // One candidate buffer, refilled per user.
+        let mut available: Vec<PublishedTask> = Vec::with_capacity(open.len());
+
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut self.rng);
 
@@ -1076,25 +1093,18 @@ impl Engine {
                     continue;
                 }
             }
-            let time_budget = self.workload.users[ui].time_budget();
-            let mut available: Vec<PublishedTask> = Vec::with_capacity(published.len());
-            for t in &published {
-                if self.contributed[ui].contains(&t.id) {
-                    continue;
-                }
-                let received = self.platform.received(t.id).map_err(|_| {
-                    SimError::invariant(format!(
-                        "published task {} is unknown to the platform",
-                        t.id.0
-                    ))
-                })?;
-                if received < self.workload.tasks[t.id.0].required() {
-                    available.push(*t);
-                }
+            // Once every task has filled, the rest of the round is the
+            // dropout/offline draws above and nothing else.
+            if open.is_empty() {
+                continue;
             }
+            let contributed = &self.contributed[ui];
+            available.clear();
+            available.extend(open.iter().filter(|t| contributed.binary_search(&t.id).is_err()));
             if available.is_empty() {
                 continue;
             }
+            let time_budget = self.workload.users[ui].time_budget();
             let solve_start = self.metrics_on.then(Instant::now);
             let selection_tag = self.recorder.alloc_phase(AllocPhase::Selection);
             let (outcome, stats) = solve_selection_with_stats(
@@ -1152,7 +1162,12 @@ impl Engine {
                                 });
                             }
                             payments += pay;
-                            self.contributed[ui].insert(task);
+                            insert_sorted(&mut self.contributed[ui], task);
+                            if self.platform.received(task)?
+                                >= self.workload.tasks[task.0].required()
+                            {
+                                open.retain(|t| t.id != task);
+                            }
                             new_measurements[task.0] += 1;
                             self.quality_received[task.0] += self.workload.qualities[ui];
                             self.estimates[task.0].add(self.scenario.sensing.sample_measurement(
@@ -1180,7 +1195,7 @@ impl Engine {
                                 detail: 0.0,
                             });
                         }
-                        self.contributed[ui].insert(task);
+                        insert_sorted(&mut self.contributed[ui], task);
                         performed += 1;
                         faulted = true;
                     }
@@ -1194,7 +1209,7 @@ impl Engine {
                                 detail: f64::from(due_in),
                             });
                         }
-                        self.contributed[ui].insert(task);
+                        insert_sorted(&mut self.contributed[ui], task);
                         let Some(inj) = self.injector.as_mut() else {
                             return Err(SimError::invariant(
                                 "delayed upload fate without a fault injector",
@@ -1372,7 +1387,7 @@ impl Engine {
                             reward: pay,
                         });
                     }
-                    self.contributed[user].insert(task);
+                    insert_sorted(&mut self.contributed[user], task);
                     new_measurements[task.0] += 1;
                     user_profits[user] += pay;
                     self.quality_received[task.0] += self.workload.qualities[user];
@@ -1574,6 +1589,13 @@ impl Engine {
             completed_round,
             total_paid: self.platform.total_paid(),
         })
+    }
+}
+
+/// Adds `task` to a user's sorted contribution list (a no-op if present).
+fn insert_sorted(contributed: &mut Vec<TaskId>, task: TaskId) {
+    if let Err(pos) = contributed.binary_search(&task) {
+        contributed.insert(pos, task);
     }
 }
 

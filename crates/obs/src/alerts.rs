@@ -37,7 +37,8 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::export::{json_escape, label_suffix, scale_of};
+use crate::export::{label_suffix, scale_of};
+use crate::json::json_escape;
 use crate::metrics::HistogramSnapshot;
 use crate::recorder::{Recorder, Snapshot};
 use crate::timeseries::RoundSample;

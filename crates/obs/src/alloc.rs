@@ -6,7 +6,7 @@
 //!
 //! The allocator is installed unconditionally (it is the process'
 //! global allocator), but **tracking is off by default**: the only cost
-//! on the untracked path is a single relaxed load of [`ENABLED`] per
+//! on the untracked path is a single relaxed load of `ENABLED` per
 //! allocator call — no other atomics are touched, preserving the
 //! crate-wide "disabled observability is free" guarantee. Tracking
 //! turns on when a [`Recorder`](crate::Recorder) enables alloc
@@ -14,7 +14,8 @@
 //! again when the last profiled registry drops.
 //!
 //! Attribution is a thread-local phase tag ([`AllocPhase`]), set by the
-//! RAII [`PhaseGuard`] that [`Recorder::alloc_phase`] and tagged
+//! RAII [`PhaseGuard`] that
+//! [`Recorder::alloc_phase`](crate::Recorder::alloc_phase) and tagged
 //! [`Span`](crate::Span)s hold. The guard restores the previous tag on
 //! drop — including drops during unwinding, so a panic inside a phase
 //! cannot leak its tag into unrelated code. Allocations on threads
@@ -31,8 +32,9 @@
 //!
 //! Counters are global statics, not per-recorder: the allocator cannot
 //! know which recorder "owns" an allocation. Recorders consume the
-//! stats as *deltas* ([`Recorder::sample_alloc`]) under a per-registry
-//! baseline, which keeps concurrent engines sharing a recorder exact
+//! stats as *deltas*
+//! ([`Recorder::sample_alloc`](crate::Recorder::sample_alloc)) under a
+//! per-registry baseline, which keeps concurrent engines sharing a recorder exact
 //! and keeps unrelated test threads from corrupting anything beyond
 //! the untagged bucket.
 
@@ -263,7 +265,7 @@ pub struct PhaseTotals {
     /// High-water mark of `live_bytes`.
     pub peak_live_bytes: i64,
     /// Allocation counts per log₂ size class (see
-    /// [`bucket_index`](crate::bucket_index)).
+    /// [`bucket_index`]).
     pub size_classes: [u64; BUCKETS],
 }
 

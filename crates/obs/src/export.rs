@@ -7,6 +7,7 @@
 //! nanoseconds by the span-timer convention; the exporters divide their
 //! values by 10⁹ (see the crate docs).
 
+use crate::json::json_escape;
 use crate::recorder::{MetricKey, Snapshot};
 use std::fmt::Write as _;
 
@@ -42,21 +43,6 @@ fn label_suffix_with(key: &MetricKey, extra_key: &str, extra_value: &str) -> Str
         None => format!("{{{extra_key}=\"{extra_value}\"}}"),
         Some((k, v)) => format!("{{{k}=\"{v}\",{extra_key}=\"{extra_value}\"}}"),
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 pub(crate) fn json_labels(key: &MetricKey) -> String {

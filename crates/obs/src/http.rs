@@ -1,57 +1,61 @@
-//! A hardened, zero-dependency blocking HTTP/1.1 layer.
+//! A hardened, zero-dependency blocking HTTP/1.1 layer: the one
+//! request reader behind both the embedded
+//! [`MetricsServer`](crate::MetricsServer) and the `paydemand serve`
+//! daemon.
 //!
-//! The daemon faces real sockets, so unlike the embedded metrics
-//! endpoint this parser assumes the peer is hostile until proven
-//! otherwise:
+//! Both face real sockets, so the reader assumes the peer is hostile
+//! until proven otherwise:
 //!
-//! * every read honours a *total* head deadline, not just a per-read
-//!   socket timeout — a slow-loris client dripping one byte per second
-//!   is cut off when the deadline lapses, no matter how alive the
-//!   socket looks;
-//! * the request line, the head and the body each have independent
-//!   size caps, exceeded caps map to typed 4xx statuses
+//! * every read honours a *total* deadline, not just a per-read socket
+//!   timeout — a slow-loris client dripping one byte per second is cut
+//!   off when the deadline lapses, no matter how alive the socket
+//!   looks. The head and the body each get the full
+//!   [`HttpLimits::deadline`];
+//! * the request line ([`MAX_REQUEST_LINE_BYTES`]), the head
+//!   ([`MAX_HEAD_BYTES`]) and the body ([`HttpLimits::max_body_bytes`])
+//!   each have a size cap; exceeded caps map to typed 4xx statuses
 //!   (414 / 431 / 413) rather than truncated parses;
-//! * malformed framing (bad request line, unparsable `Content-Length`,
-//!   non-numeric garbage) is a 400, never a panic;
+//! * malformed framing (bad request line, unparsable or conflicting
+//!   `Content-Length`, non-numeric garbage) is a 400, never a panic;
 //! * a peer that closes early is a clean [`ParseError::ClientClosed`]
 //!   — the connection is dropped without a response, and without
 //!   counting as a server failure.
 //!
-//! The module also carries [`request`], the minimal blocking client
-//! the tests, the load generator and the CI smoke script drive the
-//! daemon with.
+//! [`serve_telemetry`] answers the routes both servers share
+//! (`GET /metrics`, `GET /profile`). The module also carries
+//! [`request`], the minimal blocking client the tests, the load
+//! generator and the benchmarks drive the servers with.
 
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Size and time limits enforced while reading one request.
+use crate::prof::CaptureRequest;
+use crate::recorder::Recorder;
+
+/// Content type of every JSON body, error documents included.
+pub const JSON: &str = "application/json; charset=utf-8";
+/// Default [`HttpLimits::deadline`].
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(2);
+/// Longest accepted request head (request line + headers); more is 431.
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+/// Longest accepted request line (method + target + version); more is
+/// 414.
+pub const MAX_REQUEST_LINE_BYTES: usize = 2 * 1024;
+
+/// Size and time limits enforced while serving one request.
 #[derive(Debug, Clone, Copy)]
 pub struct HttpLimits {
-    /// Longest accepted request head (request line + headers).
-    pub max_head_bytes: usize,
-    /// Longest accepted request line (method + path + version).
-    pub max_request_line_bytes: usize,
-    /// Longest accepted body.
+    /// Longest accepted body; a larger `Content-Length` is 413.
     pub max_body_bytes: usize,
-    /// Wall-clock budget for receiving the complete head.
-    pub head_deadline: Duration,
-    /// Wall-clock budget for receiving the body once the head is in.
-    pub body_deadline: Duration,
-    /// Socket-level write timeout for the response.
-    pub write_timeout: Duration,
+    /// Total wall-clock budget for the head, and again for the body;
+    /// also the socket write timeout for the response.
+    pub deadline: Duration,
 }
 
 impl Default for HttpLimits {
     fn default() -> Self {
-        HttpLimits {
-            max_head_bytes: 8 * 1024,
-            max_request_line_bytes: 2 * 1024,
-            max_body_bytes: 256 * 1024,
-            head_deadline: Duration::from_secs(2),
-            body_deadline: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
-        }
+        HttpLimits { max_body_bytes: 256 * 1024, deadline: DEFAULT_DEADLINE }
     }
 }
 
@@ -60,8 +64,10 @@ impl Default for HttpLimits {
 pub struct Request {
     /// The HTTP method, upper-cased as received.
     pub method: String,
-    /// The request target (path only; no normalisation).
+    /// The request target up to the first `?` (no normalisation).
     pub path: String,
+    /// The target after the first `?`; empty without one.
+    pub query: String,
     /// The body, exactly `Content-Length` bytes (empty without one).
     pub body: Vec<u8>,
 }
@@ -75,9 +81,9 @@ pub enum ParseError {
     ClientClosed,
     /// The head or body did not arrive within its deadline.
     Timeout,
-    /// The request line exceeded [`HttpLimits::max_request_line_bytes`].
+    /// The request line exceeded [`MAX_REQUEST_LINE_BYTES`].
     RequestLineTooLong,
-    /// The head exceeded [`HttpLimits::max_head_bytes`].
+    /// The head exceeded [`MAX_HEAD_BYTES`].
     HeadTooLarge,
     /// The declared body exceeds [`HttpLimits::max_body_bytes`].
     BodyTooLarge,
@@ -103,25 +109,26 @@ impl ParseError {
     }
 }
 
-/// Reads one complete request from `stream` under `limits`.
+/// Reads one complete request from `stream` under `limits`, and arms
+/// the stream's write timeout for the response.
 ///
 /// # Errors
 ///
 /// [`ParseError`] describing the violated limit or framing rule; see
 /// [`ParseError::status`] for the wire mapping.
 pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, ParseError> {
-    let start = Instant::now();
-    let head = read_head(stream, limits, start)?;
+    stream.set_write_timeout(Some(limits.deadline)).map_err(ParseError::Io)?;
+    let head = read_head(stream, limits.deadline)?;
     let head_text = std::str::from_utf8(&head.bytes[..head.len])
         .map_err(|_| ParseError::Malformed("request head is not UTF-8"))?;
     let mut lines = head_text.split("\r\n");
     let request_line = lines.next().unwrap_or("");
-    if request_line.len() > limits.max_request_line_bytes {
+    if request_line.len() > MAX_REQUEST_LINE_BYTES {
         return Err(ParseError::RequestLineTooLong);
     }
     let mut parts = request_line.split_whitespace();
     let method = parts.next().ok_or(ParseError::Malformed("empty request line"))?;
-    let path = parts.next().ok_or(ParseError::Malformed("request line has no target"))?;
+    let target = parts.next().ok_or(ParseError::Malformed("request line has no target"))?;
     let version = parts.next().ok_or(ParseError::Malformed("request line has no version"))?;
     if !version.starts_with("HTTP/1.") {
         return Err(ParseError::Malformed("unsupported HTTP version"));
@@ -130,7 +137,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         return Err(ParseError::Malformed("invalid method"));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         if line.is_empty() {
             break;
@@ -139,12 +146,19 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
             return Err(ParseError::Malformed("header line without a colon"));
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let value = value
                 .trim()
                 .parse::<usize>()
                 .map_err(|_| ParseError::Malformed("unparsable content length"))?;
+            // RFC 9112 §6.3: differing duplicates make the framing
+            // ambiguous, so the request is refused outright.
+            if content_length.is_some_and(|seen| seen != value) {
+                return Err(ParseError::Malformed("conflicting content lengths"));
+            }
+            content_length = Some(value);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body_bytes {
         return Err(ParseError::BodyTooLarge);
     }
@@ -157,8 +171,9 @@ pub fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Reque
         // response anyway).
         body.truncate(content_length);
     }
-    read_exact_deadline(stream, &mut body, content_length, limits)?;
-    Ok(Request { method: method.to_owned(), path: path.to_owned(), body })
+    read_exact_deadline(stream, &mut body, content_length, limits.deadline)?;
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    Ok(Request { method: method.to_owned(), path: path.to_owned(), query: query.to_owned(), body })
 }
 
 /// The raw head buffer plus where the `\r\n\r\n` separator ended.
@@ -168,51 +183,38 @@ struct Head {
     len: usize,
 }
 
-fn read_head(
-    stream: &mut TcpStream,
-    limits: &HttpLimits,
-    start: Instant,
-) -> Result<Head, ParseError> {
+/// Maps a failed or empty read to its [`ParseError`]: `partial` says
+/// whether some of the request had already arrived.
+fn read_failure(result: std::io::Result<usize>, partial: bool) -> ParseError {
+    let stalled = if partial { ParseError::Timeout } else { ParseError::ClientClosed };
+    match result {
+        Ok(_) => stalled,
+        Err(e) => match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => stalled,
+            ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted | ErrorKind::BrokenPipe => {
+                ParseError::ClientClosed
+            }
+            _ => ParseError::Io(e),
+        },
+    }
+}
+
+fn read_head(stream: &mut TcpStream, deadline: Duration) -> Result<Head, ParseError> {
+    let start = Instant::now();
     let mut bytes: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     loop {
-        let elapsed = start.elapsed();
-        if elapsed >= limits.head_deadline {
-            return Err(if bytes.is_empty() {
-                ParseError::ClientClosed
-            } else {
-                ParseError::Timeout
-            });
-        }
         // The socket timeout is re-armed with the *remaining* deadline
         // each iteration, so the total wait is bounded regardless of
         // how slowly the peer dribbles bytes.
-        let remaining = limits.head_deadline - elapsed;
+        let Some(remaining) = deadline.checked_sub(start.elapsed()).filter(|d| !d.is_zero()) else {
+            // Out of time: the same verdict as a read that stalled.
+            return Err(read_failure(Ok(0), !bytes.is_empty()));
+        };
         stream.set_read_timeout(Some(remaining)).map_err(ParseError::Io)?;
         let n = match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(if bytes.is_empty() {
-                    ParseError::ClientClosed
-                } else {
-                    ParseError::Timeout
-                })
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(if bytes.is_empty() {
-                    ParseError::ClientClosed
-                } else {
-                    ParseError::Timeout
-                })
-            }
-            Err(e)
-                if e.kind() == ErrorKind::ConnectionReset
-                    || e.kind() == ErrorKind::ConnectionAborted
-                    || e.kind() == ErrorKind::BrokenPipe =>
-            {
-                return Err(ParseError::ClientClosed)
-            }
-            Err(e) => return Err(ParseError::Io(e)),
+            Ok(n) if n > 0 => n,
+            result => return Err(read_failure(result, !bytes.is_empty())),
         };
         bytes.extend_from_slice(&chunk[..n]);
         if let Some(pos) = find_head_end(&bytes) {
@@ -220,10 +222,10 @@ fn read_head(
         }
         // No separator yet: a head this large is rejected before more
         // is buffered. An overlong first line fails even earlier.
-        if bytes.len() > limits.max_head_bytes {
+        if bytes.len() > MAX_HEAD_BYTES {
             return Err(ParseError::HeadTooLarge);
         }
-        if !bytes.contains(&b'\n') && bytes.len() > limits.max_request_line_bytes {
+        if !bytes.contains(&b'\n') && bytes.len() > MAX_REQUEST_LINE_BYTES {
             return Err(ParseError::RequestLineTooLong);
         }
     }
@@ -233,35 +235,24 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
 }
 
-/// Grows `body` to exactly `want` bytes, bounded by the body deadline.
+/// Grows `body` to exactly `want` bytes, bounded by `deadline`.
 fn read_exact_deadline(
     stream: &mut TcpStream,
     body: &mut Vec<u8>,
     want: usize,
-    limits: &HttpLimits,
+    deadline: Duration,
 ) -> Result<(), ParseError> {
     let start = Instant::now();
     let mut chunk = [0u8; 4096];
     while body.len() < want {
-        let elapsed = start.elapsed();
-        if elapsed >= limits.body_deadline {
+        let Some(remaining) = deadline.checked_sub(start.elapsed()).filter(|d| !d.is_zero()) else {
             return Err(ParseError::Timeout);
-        }
-        stream.set_read_timeout(Some(limits.body_deadline - elapsed)).map_err(ParseError::Io)?;
+        };
+        stream.set_read_timeout(Some(remaining)).map_err(ParseError::Io)?;
         let n = match stream.read(&mut chunk) {
             Ok(0) => return Err(ParseError::ClientClosed),
             Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err(ParseError::Timeout)
-            }
-            Err(e)
-                if e.kind() == ErrorKind::ConnectionReset
-                    || e.kind() == ErrorKind::ConnectionAborted
-                    || e.kind() == ErrorKind::BrokenPipe =>
-            {
-                return Err(ParseError::ClientClosed)
-            }
-            Err(e) => return Err(ParseError::Io(e)),
+            result => return Err(read_failure(result, true)),
         };
         body.extend_from_slice(&chunk[..n]);
     }
@@ -269,10 +260,45 @@ fn read_exact_deadline(
     Ok(())
 }
 
+/// Answers the routes every server shares, `GET /metrics` and
+/// `GET /profile`, from `recorder`. Returns `false` (having written
+/// nothing) for any other request.
+///
+/// A profile capture blocks the calling thread for its window, which
+/// [`CaptureRequest`] bounds; the capture is folded into `recorder` so
+/// the sampler's self-accounting shows on the next `/metrics` scrape.
+/// A bad `/profile` query is a 400.
+pub fn serve_telemetry(stream: &mut TcpStream, request: &Request, recorder: &Recorder) -> bool {
+    if request.method != "GET" {
+        return false;
+    }
+    match request.path.as_str() {
+        "/metrics" => {
+            let body = recorder.snapshot().to_prometheus();
+            respond(stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body);
+        }
+        "/profile" => match CaptureRequest::parse_query(&request.query) {
+            Ok(capture) => {
+                let profile = capture.capture();
+                recorder.record_profile(&profile);
+                respond(stream, 200, capture.content_type(), &capture.render(&profile));
+            }
+            Err(message) => respond_error(stream, 400, &message),
+        },
+        _ => return false,
+    }
+    true
+}
+
 /// Writes a complete response and flushes. Write errors are swallowed:
 /// if the peer is gone there is nobody left to tell.
 pub fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
     respond_with(stream, status, content_type, body, &[]);
+}
+
+/// [`respond`] with the JSON [`error_body`] for `message`.
+pub fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
+    respond(stream, status, JSON, &error_body(message));
 }
 
 /// [`respond`] with extra headers (e.g. `Retry-After`).
@@ -304,22 +330,13 @@ pub fn respond_with(
 /// A JSON error document: `{"error": "<message>"}` with escaping.
 #[must_use]
 pub fn error_body(message: &str) -> String {
-    let mut escaped = String::with_capacity(message.len() + 16);
-    for c in message.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
-        }
-    }
-    format!("{{\"error\": \"{escaped}\"}}\n")
+    format!("{{\"error\": \"{}\"}}\n", crate::json_escape(message))
 }
 
-fn reason_phrase(status: u16) -> &'static str {
+/// The reason phrase sent with `status` (`"Error"` for codes the
+/// servers never send).
+#[must_use]
+pub fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -375,8 +392,7 @@ pub fn request(
     body: &[u8],
     timeout: Duration,
 ) -> std::io::Result<Response> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    let mut stream = stream;
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     let head = format!(
@@ -404,6 +420,17 @@ pub fn request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// Sends `raw` over loopback and parses it server-side.
+    fn parse(raw: &[u8]) -> Result<Request, ParseError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(raw).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let limits = HttpLimits { deadline: Duration::from_millis(500), ..HttpLimits::default() };
+        read_request(&mut server, &limits)
+    }
 
     #[test]
     fn error_body_escapes_controls_and_quotes() {
@@ -428,5 +455,30 @@ mod tests {
         assert_eq!(ParseError::HeadTooLarge.status().map(|s| s.0), Some(431));
         assert_eq!(ParseError::RequestLineTooLong.status().map(|s| s.0), Some(414));
         assert!(ParseError::ClientClosed.status().is_none());
+    }
+
+    #[test]
+    fn target_splits_into_path_and_query() {
+        let request = parse(b"GET /profile?seconds=1&format=folded HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(request.path, "/profile");
+        assert_eq!(request.query, "seconds=1&format=folded");
+        let request = parse(b"GET /events/7 HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!((request.path.as_str(), request.query.as_str()), ("/events/7", ""));
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        let conflicting = parse(
+            b"POST /events HTTP/1.1\r\nContent-Length: 500000\r\nContent-Length: 5\r\n\r\nhello",
+        );
+        assert!(
+            matches!(conflicting, Err(ParseError::Malformed("conflicting content lengths"))),
+            "{conflicting:?}"
+        );
+        // Repeating the same value is harmless and stays accepted.
+        let repeated =
+            parse(b"POST /events HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello")
+                .unwrap();
+        assert_eq!(repeated.body, b"hello");
     }
 }

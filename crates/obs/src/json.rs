@@ -1,16 +1,40 @@
-//! A minimal JSON reader for the crate's own emitted documents.
+//! A minimal JSON reader for the crate's own emitted documents, and
+//! the workspace's one string escaper for writing them.
 //!
 //! The workspace builds offline, so there is no `serde_json`. The
-//! exporters in this crate hand-roll their JSON output; this module is
-//! the matching reader, used by the offline alert evaluator (reloading
-//! a saved time series) and by schema tests that validate emitted
-//! documents (trace events, the HTTP endpoints). It is a strict
+//! exporters hand-roll their JSON output around [`json_escape`]; this
+//! module is the matching reader, used by the offline alert evaluator
+//! (reloading a saved time series), the daemon's load generator and
+//! bench gate, and schema tests that validate emitted documents (trace
+//! events, the HTTP endpoints). It is a strict
 //! recursive-descent parser over the full JSON grammar minus the
 //! corners the crate never emits: no `\uXXXX` surrogate pairs beyond
 //! the BMP and no tolerance for trailing garbage.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Escapes `text` for use inside a JSON string literal (without the
+/// surrounding quotes): `\"`, `\\`, `\n`, `\r` and `\t`, and
+/// `\u00XX` for every other control character.
+#[must_use]
+pub fn json_escape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -352,6 +376,14 @@ mod tests {
         }
         let err = parse_json("[1, oops]").unwrap_err();
         assert!(err.to_string().contains("byte 4"), "{err}");
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        let text = "quote \" slash \\ newline \n tab \t cr \r ctrl \u{1} é";
+        let escaped = json_escape(text);
+        assert_eq!(escaped, "quote \\\" slash \\\\ newline \\n tab \\t cr \\r ctrl \\u0001 é");
+        assert_eq!(parse_json(&format!("\"{escaped}\"")).unwrap().as_str(), Some(text));
     }
 
     #[test]

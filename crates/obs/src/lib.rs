@@ -136,8 +136,9 @@
 //!   round boundary, with [`evaluate_series`] replaying the same rules
 //!   offline against a saved time series;
 //! * [`MetricsServer`] — an embedded zero-dependency HTTP endpoint
-//!   serving `/metrics`, `/healthz`, `/rounds.json` and `/alerts.json`
-//!   from a background thread;
+//!   serving `/metrics`, `/healthz`, `/rounds.json`, `/alerts.json`
+//!   and `/profile` from a background thread, on the hardened request
+//!   reader in [`http`] that the `paydemand serve` daemon shares;
 //! * [`Logger`] — a leveled JSON flight recorder (ring buffer,
 //!   rate-limited, panic-safe, optional JSONL file sink) attachable
 //!   with [`Recorder::attach_logger`] so deep layers can emit without
@@ -171,6 +172,7 @@
 mod alerts;
 pub mod alloc;
 mod export;
+pub mod http;
 pub mod json;
 pub mod log;
 mod metrics;
@@ -182,7 +184,7 @@ mod timeseries;
 
 pub use alerts::{evaluate_series, AlertEvent, AlertRule, Alerts, Comparator};
 pub use alloc::{AllocPhase, PhaseGuard, PhaseTotals, TrackingAllocator};
-pub use json::{parse_json, JsonError, JsonValue};
+pub use json::{json_escape, parse_json, JsonError, JsonValue};
 pub use log::{LogEntry, LogLevel, Logger, DEFAULT_LOG_CAPACITY};
 pub use metrics::{
     bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,

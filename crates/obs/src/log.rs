@@ -4,7 +4,7 @@
 //! The daemon needs logs, but the workspace's no-ecosystem-crates rule
 //! puts `tracing`/`log` off the table and the engine's determinism
 //! contract forbids anything that could perturb simulation output.
-//! This module threads the same needle the [`Recorder`](crate::Recorder)
+//! This module threads the same needle the [`Recorder`]
 //! does:
 //!
 //! * a **disabled** [`Logger`] (the default) is a true no-op — no
@@ -33,7 +33,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use crate::export::json_escape;
+use crate::json::json_escape;
 use crate::metrics::Counter;
 use crate::recorder::Recorder;
 

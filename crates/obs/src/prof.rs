@@ -54,6 +54,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::json::json_escape;
+
 /// Default sampling rate. 99 Hz, not 100, so the sampler drifts
 /// relative to 10 ms-aligned timers instead of aliasing with them.
 pub const DEFAULT_HZ: u32 = 99;
@@ -860,24 +862,6 @@ impl Profile {
         }
         out
     }
-}
-
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! An embedded, zero-dependency metrics endpoint.
 //!
-//! [`MetricsServer::start`] binds a std [`TcpListener`] and serves four
+//! [`MetricsServer::start`] binds a std [`TcpListener`] and serves five
 //! read-only GET routes from one background thread, so a long run or
 //! sweep can be watched while it executes:
 //!
@@ -12,6 +12,11 @@
 //! | `/alerts.json` | alert rules and firings ([`Alerts::to_json`](crate::Alerts::to_json)) |
 //! | `/profile?seconds=N&format=folded\|speedscope` | an on-demand CPU/alloc profile capture ([`crate::prof`]) |
 //!
+//! Requests are read by [`http::read_request`], the hardened reader the
+//! `paydemand serve` daemon uses too, and `/metrics` and `/profile` are
+//! the daemon's own handlers ([`http::serve_telemetry`]). Every 4xx
+//! carries a JSON [`http::error_body`].
+//!
 //! The server holds only a cloned [`Recorder`]; the time series and
 //! alert evaluator attached to that recorder are reachable through it,
 //! so the serving thread shares exactly the state the engine updates.
@@ -21,24 +26,13 @@
 //! calling it leaves the thread serving until the process exits, which
 //! is the desired behaviour for a long-lived `--serve-metrics` run.
 
-use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
+use crate::http::{self, HttpLimits, JSON};
 use crate::recorder::Recorder;
-
-/// Longest accepted request head; more is answered with 431.
-const MAX_REQUEST_BYTES: usize = 8 * 1024;
-/// Longest accepted request line; more is answered with 414.
-const MAX_REQUEST_LINE_BYTES: usize = 2 * 1024;
-/// Wall-clock budget for receiving the complete head. This is a
-/// *total* deadline: the read timeout is re-armed with the remaining
-/// budget before every read, so a client trickling one byte per second
-/// cannot hold the serving thread by resetting a per-read timer.
-const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A handle to the background serving thread.
 #[derive(Debug)]
@@ -50,19 +44,34 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9090`; port 0 picks a free one)
-    /// and starts serving `recorder`'s state.
+    /// and starts serving `recorder`'s state under the default
+    /// [`HttpLimits`].
     ///
     /// # Errors
     ///
     /// The bind error, e.g. when the port is taken.
     pub fn start(addr: &str, recorder: Recorder) -> std::io::Result<MetricsServer> {
+        MetricsServer::start_with_limits(addr, recorder, HttpLimits::default())
+    }
+
+    /// [`MetricsServer::start`] under explicit `limits`, the same ones
+    /// the daemon takes.
+    ///
+    /// # Errors
+    ///
+    /// The bind error, e.g. when the port is taken.
+    pub fn start_with_limits(
+        addr: &str,
+        recorder: Recorder,
+        limits: HttpLimits,
+    ) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let handle = std::thread::Builder::new()
             .name("paydemand-metrics".to_owned())
-            .spawn(move || serve_loop(&listener, &recorder, &flag))?;
+            .spawn(move || serve_loop(&listener, &recorder, &limits, &flag))?;
         Ok(MetricsServer { local_addr, shutdown, handle: Some(handle) })
     }
 
@@ -84,50 +93,42 @@ impl MetricsServer {
     }
 }
 
-fn serve_loop(listener: &TcpListener, recorder: &Recorder, shutdown: &AtomicBool) {
+fn serve_loop(
+    listener: &TcpListener,
+    recorder: &Recorder,
+    limits: &HttpLimits,
+    shutdown: &AtomicBool,
+) {
     for stream in listener.incoming() {
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
         let Ok(stream) = stream else { continue };
         // A stalled client must not wedge the (single) serving thread;
-        // read_head re-arms the read timeout against a total deadline.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        handle_connection(stream, recorder);
+        // the reader holds every read to a total deadline.
+        handle_connection(stream, recorder, limits);
     }
 }
 
-fn handle_connection(mut stream: TcpStream, recorder: &Recorder) {
-    let request_line = match read_request_line(&mut stream) {
-        Ok(line) => line,
+fn handle_connection(mut stream: TcpStream, recorder: &Recorder, limits: &HttpLimits) {
+    let request = match http::read_request(&mut stream, limits) {
+        Ok(request) => request,
         Err(error) => {
-            let (status, message) = match error {
-                HeadError::Timeout => (408, "request head not received in time\n"),
-                HeadError::TooLarge => (431, "request head too large\n"),
-                HeadError::LineTooLong => (414, "request line too long\n"),
-                HeadError::Malformed => (400, "bad request\n"),
-                // The peer is gone (or never spoke); nobody to answer.
-                HeadError::Closed => return,
-            };
-            respond(&mut stream, status, "text/plain; charset=utf-8", message);
+            // No status means the peer is gone (or never spoke).
+            if let Some((status, message)) = error.status() {
+                http::respond_error(&mut stream, status, message);
+            }
             return;
         }
     };
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    if method != "GET" {
-        respond(&mut stream, 405, "text/plain; charset=utf-8", "only GET is supported\n");
+    if request.method != "GET" {
+        http::respond_error(&mut stream, 405, "only GET is supported");
         return;
     }
-    let (path, query) = match target.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (target, ""),
-    };
-    match path {
-        "/metrics" => {
-            let body = recorder.snapshot().to_prometheus();
-            respond(&mut stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body);
-        }
+    if http::serve_telemetry(&mut stream, &request, recorder) {
+        return;
+    }
+    match request.path.as_str() {
         "/healthz" => {
             let body = format!(
                 "{{\"status\": \"ok\", \"metrics_enabled\": {}, \"rounds_observed\": {}, \
@@ -136,135 +137,24 @@ fn handle_connection(mut stream: TcpStream, recorder: &Recorder) {
                 recorder.timeseries().len(),
                 recorder.alerts().fired_total(),
             );
-            respond(&mut stream, 200, "application/json; charset=utf-8", &body);
+            http::respond(&mut stream, 200, JSON, &body);
         }
-        "/rounds.json" => {
-            let body = recorder.timeseries().to_json();
-            respond(&mut stream, 200, "application/json; charset=utf-8", &body);
-        }
-        "/alerts.json" => {
-            let body = recorder.alerts().to_json();
-            respond(&mut stream, 200, "application/json; charset=utf-8", &body);
-        }
-        "/profile" => {
-            // The capture blocks the (single) serving thread for its
-            // window; CaptureRequest bounds `seconds` so a request
-            // cannot wedge scrapes for long. The capture is recorded
-            // into the recorder so sampler self-accounting shows up
-            // on the next /metrics scrape.
-            match crate::prof::CaptureRequest::parse_query(query) {
-                Ok(request) => {
-                    let profile = request.capture();
-                    recorder.record_profile(&profile);
-                    respond(&mut stream, 200, request.content_type(), &request.render(&profile));
-                }
-                Err(message) => {
-                    respond(&mut stream, 400, "text/plain; charset=utf-8", &format!("{message}\n"));
-                }
-            }
-        }
-        _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
+        "/rounds.json" => http::respond(&mut stream, 200, JSON, &recorder.timeseries().to_json()),
+        "/alerts.json" => http::respond(&mut stream, 200, JSON, &recorder.alerts().to_json()),
+        _ => http::respond_error(&mut stream, 404, "no such route"),
     }
-}
-
-/// Why a request head could not be read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HeadError {
-    /// The total head deadline expired (silent or trickling client).
-    Timeout,
-    /// The head outgrew [`MAX_REQUEST_BYTES`] without terminating.
-    TooLarge,
-    /// The request line outgrew [`MAX_REQUEST_LINE_BYTES`].
-    LineTooLong,
-    /// Not UTF-8, or no request line at all.
-    Malformed,
-    /// The client hung up before completing the head.
-    Closed,
-}
-
-/// Reads up to the end of the request head and returns its first line.
-///
-/// Hostile-input hardening, each with its own failure: the *total*
-/// time across all reads is bounded by [`HEAD_DEADLINE`] (the read
-/// timeout is re-armed with the remaining budget each iteration, so a
-/// slow-loris trickle gains nothing), the head is bounded by
-/// [`MAX_REQUEST_BYTES`] — an over-long head is an error, never served
-/// truncated — and the request line by [`MAX_REQUEST_LINE_BYTES`].
-fn read_request_line(stream: &mut TcpStream) -> Result<String, HeadError> {
-    let start = Instant::now();
-    let mut head = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let complete = loop {
-        let remaining = HEAD_DEADLINE
-            .checked_sub(start.elapsed())
-            .filter(|d| !d.is_zero())
-            .ok_or(HeadError::Timeout)?;
-        stream.set_read_timeout(Some(remaining)).map_err(|_| HeadError::Closed)?;
-        let n = match stream.read(&mut chunk) {
-            Ok(0) => break false,
-            Ok(n) => n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Err(HeadError::Timeout);
-            }
-            Err(_) => return Err(HeadError::Closed),
-        };
-        head.extend_from_slice(&chunk[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-            break true;
-        }
-        if head.len() >= MAX_REQUEST_BYTES {
-            return Err(HeadError::TooLarge);
-        }
-        // Enforced before the head terminator arrives, so an unbounded
-        // first line cannot ride in under the head cap.
-        if !head.contains(&b'\n') && head.len() > MAX_REQUEST_LINE_BYTES {
-            return Err(HeadError::LineTooLong);
-        }
-    };
-    if !complete && head.is_empty() {
-        return Err(HeadError::Closed);
-    }
-    let text = std::str::from_utf8(&head).map_err(|_| HeadError::Malformed)?;
-    let line = text.lines().next().ok_or(HeadError::Malformed)?.trim();
-    if line.len() > MAX_REQUEST_LINE_BYTES {
-        return Err(HeadError::LineTooLong);
-    }
-    if line.is_empty() {
-        return Err(HeadError::Malformed);
-    }
-    Ok(line.to_owned())
-}
-
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        414 => "URI Too Long",
-        431 => "Request Header Fields Too Large",
-        _ => "Error",
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{
+        DEFAULT_DEADLINE as HEAD_DEADLINE, MAX_HEAD_BYTES as MAX_REQUEST_BYTES,
+        MAX_REQUEST_LINE_BYTES,
+    };
     use crate::{Alerts, TimeSeries};
+    use std::io::{Read as _, Write as _};
+    use std::time::{Duration, Instant};
 
     /// A blocking single-request HTTP client good enough for loopback.
     fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {

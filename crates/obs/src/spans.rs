@@ -117,8 +117,8 @@ impl SpanLog {
     }
 
     /// Opens a span event named `name` on the current thread. The
-    /// returned guard must be [`finish`](SpanEventGuard::finish)ed (the
-    /// RAII [`Span`](crate::Span) does this on drop).
+    /// returned guard must be `finish`ed (the RAII
+    /// [`Span`](crate::Span) does this on drop).
     #[must_use]
     pub fn open(self: &Arc<Self>, name: &str) -> SpanEventGuard {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -180,7 +180,7 @@ impl SpanLog {
                 "\n  {{\"name\": \"{}\", \"cat\": \"paydemand\", \"ph\": \"X\", \
                  \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}, \
                  \"args\": {{\"id\": {}, \"parent\": {}}}}}",
-                crate::export::json_escape(&event.name),
+                crate::json::json_escape(&event.name),
                 fmt_us(event.start_ns),
                 fmt_us(event.duration_ns),
                 event.tid,
@@ -198,7 +198,7 @@ impl SpanLog {
                 "\n  {{\"name\": \"{}\", \"cat\": \"paydemand\", \"ph\": \"C\", \
                  \"ts\": {}, \"pid\": 1, \"tid\": 0, \
                  \"args\": {{\"value\": {}}}}}",
-                crate::export::json_escape(&sample.name),
+                crate::json::json_escape(&sample.name),
                 fmt_us(sample.ts_ns),
                 sample.value,
             );

@@ -311,7 +311,7 @@ fn push_series<T>(
         let _ = write!(
             out,
             "{{\"name\": \"{}\", \"labels\": {}, ",
-            crate::export::json_escape(&key.name),
+            crate::json::json_escape(&key.name),
             json_labels(key)
         );
         body(out, value);

@@ -22,7 +22,7 @@
 //!   WAL, feeds the batch to [`Engine::step_round`] with the decision
 //!   journal enabled, appends the round's **lineage frames** (event id
 //!   → WAL offset → round → disposition, joined with the journal's
-//!   per-task pricing) to the [`lineage`](crate::lineage) index, and
+//!   per-task pricing) to the [`lineage`] index, and
 //!   only then lands an atomic checkpoint (tmp + rename) and compacts
 //!   the WAL down to the events that arrived meanwhile — so every
 //!   checkpointed round has durable lineage.
@@ -57,19 +57,18 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use paydemand_geo::{Point, Rect};
+use paydemand_obs::http::{self, HttpLimits, Request, JSON};
 use paydemand_obs::{Counter, Gauge, Histogram, LogLevel, Logger, Recorder};
 use paydemand_sim::trace;
 use paydemand_sim::{Engine, EventOutcome, ExternalEvent, Scenario};
 
 use crate::events::decode_batch;
-use crate::http::{self, error_body, HttpLimits, Request};
 use crate::lineage::{self, AppliedFrame, LineageFrame, LineageIndex, RoundFrame};
 use crate::queue::{Bounded, PushError};
 use crate::supervisor::{Supervisor, WorkerFn};
 use crate::wal::{SequencedEvent, Wal, WalRecord};
 use crate::ServeError;
 
-const JSON: &str = "application/json; charset=utf-8";
 /// File name of the engine checkpoint inside the state directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.ck";
 /// File name of the write-ahead log inside the state directory.
@@ -797,12 +796,12 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 // Explicit shed at the edge: the client learns to back
                 // off instead of waiting in an invisible kernel queue.
                 shared.metrics.rejected_overload.inc();
-                let _ = s.set_write_timeout(Some(shared.config.limits.write_timeout));
+                let _ = s.set_write_timeout(Some(shared.config.limits.deadline));
                 http::respond_with(
                     &mut s,
                     503,
                     JSON,
-                    &error_body("server overloaded"),
+                    &http::error_body("server overloaded"),
                     &[("Retry-After", "1".to_owned())],
                 );
             }
@@ -820,18 +819,22 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_write_timeout(Some(shared.config.limits.write_timeout));
     let request = match http::read_request(&mut stream, &shared.config.limits) {
         Ok(request) => request,
         Err(e) => {
             if let Some((status, message)) = e.status() {
-                http::respond(&mut stream, status, JSON, &error_body(message));
+                http::respond_error(&mut stream, status, message);
             }
             return;
         }
     };
     shared.metrics.http_requests.inc();
-    route(&mut stream, &request, shared);
+    // `/metrics` and `/profile` are shared with the metrics server. A
+    // profile capture blocks this worker for its bounded window; the
+    // other workers keep serving ingest.
+    if !http::serve_telemetry(&mut stream, &request, &shared.recorder) {
+        route(&mut stream, &request, shared);
+    }
 }
 
 fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) {
@@ -855,15 +858,11 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) {
         }
         ("GET", "/demand") => match demand_json(shared) {
             Ok(body) => http::respond(stream, 200, JSON, &body),
-            Err(e) => http::respond(stream, 500, JSON, &error_body(&e.to_string())),
+            Err(e) => http::respond_error(stream, 500, &e.to_string()),
         },
         ("GET", "/status") => {
             let body = status_json(shared);
             http::respond(stream, 200, JSON, &body);
-        }
-        ("GET", "/metrics") => {
-            let body = shared.recorder.snapshot().to_prometheus();
-            http::respond(stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body);
         }
         ("GET", "/logs.json") => {
             http::respond(stream, 200, JSON, &shared.log.to_json());
@@ -872,25 +871,11 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) {
             match path["/events/".len()..].parse::<u64>() {
                 Ok(id) => match event_json(shared, id) {
                     Some(body) => http::respond(stream, 200, JSON, &body),
-                    None => http::respond(stream, 404, JSON, &error_body("no such event id")),
+                    None => http::respond_error(stream, 404, "no such event id"),
                 },
                 Err(_) => {
-                    http::respond(stream, 422, JSON, &error_body("event id must be an integer"));
+                    http::respond_error(stream, 422, "event id must be an integer");
                 }
-            }
-        }
-        ("GET", path) if path == "/profile" || path.starts_with("/profile?") => {
-            // On-demand sampling capture (crates/obs prof module). The
-            // capture blocks this worker for its (bounded) window; the
-            // other workers keep serving ingest meanwhile.
-            let query = path.strip_prefix("/profile").and_then(|rest| rest.strip_prefix('?'));
-            match paydemand_obs::prof::CaptureRequest::parse_query(query.unwrap_or("")) {
-                Ok(request) => {
-                    let profile = request.capture();
-                    shared.recorder.record_profile(&profile);
-                    http::respond(stream, 200, request.content_type(), &request.render(&profile));
-                }
-                Err(message) => http::respond(stream, 400, JSON, &error_body(&message)),
             }
         }
         ("GET", "/healthz") => {
@@ -902,8 +887,8 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Arc<Shared>) {
             );
             http::respond(stream, 200, JSON, &body);
         }
-        ("GET" | "POST", _) => http::respond(stream, 404, JSON, &error_body("no such route")),
-        _ => http::respond(stream, 405, JSON, &error_body("method not supported")),
+        ("GET" | "POST", _) => http::respond_error(stream, 404, "no such route"),
+        _ => http::respond_error(stream, 405, "method not supported"),
     }
 }
 
@@ -919,14 +904,14 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
             stream,
             503,
             JSON,
-            &error_body("daemon is draining"),
+            &http::error_body("daemon is draining"),
             &[("Retry-After", "1".to_owned())],
         );
         return;
     }
     if shared.finished.load(Ordering::SeqCst) {
         shared.metrics.rejected_finished.inc();
-        http::respond(stream, 409, JSON, &error_body("run is complete; events no longer apply"));
+        http::respond_error(stream, 409, "run is complete; events no longer apply");
         return;
     }
     let parse_started = Instant::now();
@@ -939,7 +924,7 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
                 _ => shared.metrics.rejected_schema.inc(),
             }
             shared.log.debug("ingest", "batch rejected", &[("reason", e.message())]);
-            http::respond(stream, e.status(), JSON, &error_body(e.message()));
+            http::respond_error(stream, e.status(), e.message());
             return;
         }
     };
@@ -953,7 +938,7 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
         if let Err(message) = validate(event, &shared.dims) {
             shared.metrics.rejected_validation.inc();
             shared.log.debug("ingest", "batch failed validation", &[("reason", &message)]);
-            http::respond(stream, 422, JSON, &error_body(&format!("events[{i}]: {message}")));
+            http::respond_error(stream, 422, &format!("events[{i}]: {message}"));
             return;
         }
     }
@@ -982,7 +967,7 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
                 stream,
                 429,
                 JSON,
-                &error_body("ingest queue is full"),
+                &http::error_body("ingest queue is full"),
                 &[("Retry-After", "1".to_owned())],
             );
             return;
@@ -1011,12 +996,7 @@ fn post_events(stream: &mut TcpStream, body: &[u8], shared: &Arc<Shared>) {
             Err(e) => {
                 drop(ingest);
                 shared.log.error("ingest", "event log write failed", &[("error", &e.to_string())]);
-                http::respond(
-                    stream,
-                    500,
-                    JSON,
-                    &error_body(&format!("event log write failed: {e}")),
-                );
+                http::respond_error(stream, 500, &format!("event log write failed: {e}"));
                 return;
             }
         };
@@ -1087,7 +1067,7 @@ fn post_tick(stream: &mut TcpStream, shared: &Arc<Shared>) {
             );
             http::respond(stream, 200, JSON, &body);
         }
-        Err(e) => http::respond(stream, 500, JSON, &error_body(&e.to_string())),
+        Err(e) => http::respond_error(stream, 500, &e.to_string()),
     }
 }
 

@@ -2,14 +2,16 @@
 //!
 //! Everything else in this workspace runs the Pay On-Demand engine as
 //! a batch simulation; this crate runs it as a *service*. A
-//! [`Daemon`](daemon::Daemon) owns one [`Engine`](paydemand_sim::Engine)
+//! [`Daemon`] owns one [`Engine`](paydemand_sim::Engine)
 //! behind a mutex, ingests external movement/upload events over HTTP,
 //! advances rounds on a tick loop and keeps every accepted byte
 //! durable:
 //!
-//! * [`http`] — a hardened, dependency-free HTTP/1.1 reader/writer:
-//!   total-head deadlines (slow-loris-proof), request-line/head/body
-//!   size caps, typed 4xx for malformed input, never a panic.
+//! * [`http`] — re-exports [`paydemand_obs::http`], the workspace's
+//!   one hardened HTTP/1.1 reader/writer, shared with the embedded
+//!   metrics server: total deadlines (slow-loris-proof),
+//!   request-line/head/body size caps, typed 4xx for malformed input,
+//!   never a panic.
 //! * [`events`] — the `POST /events` wire format and its two-tier
 //!   decode errors (transport → 400, schema → 422).
 //! * [`wal`] — a checksummed write-ahead log with tick barriers, torn-
@@ -37,7 +39,6 @@
 
 pub mod daemon;
 pub mod events;
-pub mod http;
 pub mod lineage;
 pub mod loadgen;
 pub mod queue;
@@ -45,8 +46,9 @@ pub mod signals;
 pub mod supervisor;
 pub mod wal;
 
+pub use paydemand_obs::http;
+
 pub use daemon::{Daemon, DaemonConfig, ShutdownReport, TickOutcome, ACK_SLO_TARGET};
-pub use http::HttpLimits;
 pub use lineage::VerifyReport;
 pub use loadgen::{run_load, LoadPlan, LoadProfile, LoadReport, ServerStages};
 

@@ -19,10 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use paydemand_obs::Recorder;
+use paydemand_obs::{http, parse_json, JsonValue, Recorder};
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::http;
 use crate::ServeError;
 
 /// One adversarial move (honest clients are driven separately).
@@ -268,8 +267,8 @@ impl LoadReport {
     }
 }
 
-/// The daemon-side facts the generator needs, scraped from `/status`.
-#[derive(Debug, Clone, Copy)]
+/// The workload facts the honest clients need.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Workload {
     users: u32,
     tasks: u32,
@@ -298,7 +297,7 @@ struct Tally {
 /// unparseable — individual request failures are *counted*, not
 /// errors.
 pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> Result<LoadReport, ServeError> {
-    let workload = fetch_workload(addr, plan.request_timeout)?;
+    let workload = fetch_status(addr, plan.request_timeout)?.workload;
     let tally = Arc::new(Tally {
         requests: AtomicU64::new(0),
         accepted: AtomicU64::new(0),
@@ -341,7 +340,10 @@ pub fn run_load(addr: SocketAddr, plan: &LoadPlan) -> Result<LoadReport, ServeEr
         latencies[idx.min(latencies.len() - 1)]
     };
 
-    let (worker_restarts, daemon_state) = fetch_health(addr, plan.request_timeout);
+    let (worker_restarts, daemon_state) = match fetch_status(addr, plan.request_timeout) {
+        Ok(status) => (status.worker_restarts, status.state),
+        Err(_) => (u64::MAX, "unreachable".to_owned()),
+    };
     let requests_total = tally.requests.load(Ordering::SeqCst);
     let requests_shed = tally.shed.load(Ordering::SeqCst);
     let events_accepted = tally.events.load(Ordering::SeqCst);
@@ -512,58 +514,50 @@ fn run_attack(addr: SocketAddr, arm: Arm, rng: &mut rand::rngs::StdRng, timeout:
     }
 }
 
-fn fetch_workload(addr: SocketAddr, timeout: Duration) -> Result<Workload, ServeError> {
+/// The daemon-side facts the generator reads from `GET /status`.
+#[derive(Debug, Clone, PartialEq)]
+struct Status {
+    workload: Workload,
+    worker_restarts: u64,
+    state: String,
+}
+
+impl Status {
+    /// Reads the daemon's `/status` document.
+    fn parse(body: &str) -> Result<Status, String> {
+        let doc = parse_json(body).map_err(|e| e.to_string())?;
+        let number = |path: &[&str]| -> Result<f64, String> {
+            path.iter()
+                .try_fold(&doc, |value, key| value.get(key))
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| format!("lacks numeric field {:?}", path.join(".")))
+        };
+        Ok(Status {
+            workload: Workload {
+                users: number(&["users"])? as u32,
+                tasks: number(&["tasks"])? as u32,
+                min_x: number(&["area", "min_x"])?,
+                min_y: number(&["area", "min_y"])?,
+                max_x: number(&["area", "max_x"])?,
+                max_y: number(&["area", "max_y"])?,
+            },
+            worker_restarts: number(&["worker_restarts_total"])? as u64,
+            state: doc
+                .get("state")
+                .and_then(JsonValue::as_str)
+                .ok_or("lacks string field \"state\"")?
+                .to_owned(),
+        })
+    }
+}
+
+fn fetch_status(addr: SocketAddr, timeout: Duration) -> Result<Status, ServeError> {
     let response = http::request(addr, "GET", "/status", b"", timeout)
         .map_err(|e| ServeError::Io(format!("GET /status: {e}")))?;
     if response.status != 200 {
         return Err(ServeError::Io(format!("GET /status returned {}", response.status)));
     }
-    let field = |name: &str| -> Result<f64, ServeError> {
-        json_number(&response.body, name)
-            .ok_or_else(|| ServeError::Io(format!("GET /status body lacks numeric field {name:?}")))
-    };
-    Ok(Workload {
-        users: field("users")? as u32,
-        tasks: field("tasks")? as u32,
-        min_x: field("min_x")?,
-        min_y: field("min_y")?,
-        max_x: field("max_x")?,
-        max_y: field("max_y")?,
-    })
-}
-
-fn fetch_health(addr: SocketAddr, timeout: Duration) -> (u64, String) {
-    match http::request(addr, "GET", "/status", b"", timeout) {
-        Ok(response) if response.status == 200 => {
-            let restarts =
-                json_number(&response.body, "worker_restarts_total").unwrap_or(-1.0) as u64;
-            let state =
-                json_string(&response.body, "state").unwrap_or_else(|| "unknown".to_owned());
-            (restarts, state)
-        }
-        _ => (u64::MAX, "unreachable".to_owned()),
-    }
-}
-
-/// Pulls `"name": <number>` out of a flat JSON object — enough for the
-/// daemon's own status document, no general parser needed here.
-fn json_number(body: &str, name: &str) -> Option<f64> {
-    let needle = format!("\"{name}\":");
-    let at = body.find(&needle)? + needle.len();
-    let rest = body[at..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_string(body: &str, name: &str) -> Option<String> {
-    let needle = format!("\"{name}\": \"");
-    let at = body.find(&needle)? + needle.len();
-    let end = body[at..].find('"')?;
-    Some(body[at..at + end].to_owned())
+    Status::parse(&response.body).map_err(|e| ServeError::Io(format!("GET /status body {e}")))
 }
 
 #[cfg(test)]
@@ -624,13 +618,37 @@ mod tests {
     }
 
     #[test]
-    fn json_scrapers_read_status_fields() {
-        let body = "{\"state\": \"serving\", \"users\": 40, \"area\": {\"min_x\": 0, \
-                    \"max_x\": 3000}, \"worker_restarts_total\": 2}";
-        assert_eq!(json_number(body, "users"), Some(40.0));
-        assert_eq!(json_number(body, "max_x"), Some(3000.0));
-        assert_eq!(json_number(body, "worker_restarts_total"), Some(2.0));
-        assert_eq!(json_string(body, "state").as_deref(), Some("serving"));
+    fn status_reader_reads_the_daemon_document() {
+        // Shaped like the daemon's real `GET /status` body.
+        let body = "{\"state\": \"serving\", \"next_round\": 3, \"rounds_run\": 2, \
+                    \"finished\": false, \"users\": 40, \"tasks\": 12, \
+                    \"area\": {\"min_x\": 0, \"min_y\": -5.5, \"max_x\": 3000, \"max_y\": 2000.25}, \
+                    \"total_paid\": 118.5, \"spend_cap\": null, \
+                    \"queue_depth\": 0, \"queue_capacity\": 4096, \
+                    \"ingested_events_total\": 9, \"shed_total\": 0, \"worker_restarts_total\": 2, \
+                    \"replayed_events\": 0, \"ticks_total\": 2, \"pending_retries\": 0, \
+                    \"wal_bytes\": 512, \"last_checkpoint_tick\": 2, \
+                    \"events_since_checkpoint\": 0, \"uptime_seconds\": 1.250}\n";
+        let status = Status::parse(body).expect("status document parses");
+        assert_eq!(
+            status,
+            Status {
+                workload: Workload {
+                    users: 40,
+                    tasks: 12,
+                    min_x: 0.0,
+                    min_y: -5.5,
+                    max_x: 3000.0,
+                    max_y: 2000.25,
+                },
+                worker_restarts: 2,
+                state: "serving".to_owned(),
+            }
+        );
+        // A missing field is an error naming it, not a silent zero.
+        let err = Status::parse("{\"state\": \"serving\", \"users\": 40}").unwrap_err();
+        assert!(err.contains("tasks"), "{err}");
+        assert!(Status::parse("not json").is_err());
     }
 
     #[test]

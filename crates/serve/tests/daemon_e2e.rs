@@ -6,8 +6,8 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use paydemand_obs::http;
 use paydemand_obs::{evaluate_series, AlertRule, Alerts, Recorder, TimeSeries};
-use paydemand_serve::http;
 use paydemand_serve::{Daemon, DaemonConfig};
 use paydemand_sim::{MechanismKind, Scenario, SelectorKind};
 
@@ -107,6 +107,40 @@ fn full_http_surface_round_trip() {
     assert_eq!(report.rounds_run, 1);
     assert_eq!(report.ingested_events, 2);
     assert_eq!(report.worker_restarts, 0);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn query_strings_do_not_break_routes() {
+    let dir = fresh_dir("query");
+    let (daemon, _recorder) = start(DaemonConfig::new(scenario(), dir.clone()));
+    let addr = daemon.local_addr();
+
+    // Routes match on the path; a query string is not part of it.
+    for path in [
+        "/metrics?x=1",
+        "/healthz?probe=1",
+        "/status?verbose=1",
+        "/prices?round=0",
+        "/demand?x=1",
+        "/logs.json?x=1",
+    ] {
+        let response = get(addr, path);
+        assert_eq!(response.status, 200, "{path}: {}", response.body);
+    }
+    assert_eq!(post(addr, "/tick?x=1", "").status, 200);
+    let bad_id = get(addr, "/events/abc?x=1");
+    assert_eq!(bad_id.status, 422, "{}", bad_id.body);
+    assert!(bad_id.body.contains("event id must be an integer"), "{}", bad_id.body);
+
+    // The shared /profile handler reads its query; a bad one is a JSON 400.
+    let profile = get(addr, "/profile?seconds=0.1&format=speedscope");
+    assert_eq!(profile.status, 200, "{}", profile.body);
+    let rejected = get(addr, "/profile?seconds=999");
+    assert_eq!(rejected.status, 400);
+    assert!(rejected.body.starts_with("{\"error\": "), "{}", rejected.body);
+
+    daemon.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -1,15 +1,19 @@
-//! Seeded HTTP fuzz/property battery against a live daemon.
+//! Seeded HTTP fuzz/property battery against both servers built on
+//! the shared request reader: a live daemon and an embedded
+//! `MetricsServer`.
 //!
-//! Every case throws hostile bytes at a shared daemon — truncations,
+//! Every case throws hostile bytes at each server — truncations,
 //! oversized bodies, invalid UTF-8, random garbage, pipelined junk,
 //! lying Content-Lengths — and asserts the two properties the
 //! hardening layer exists for:
 //!
-//! 1. **never panic**: `worker_restarts_total` stays 0 for the whole
-//!    battery, and `/healthz` answers 200 after every case;
+//! 1. **never panic**: the daemon's `worker_restarts_total` stays 0
+//!    for the whole battery, and both servers answer `/healthz` with
+//!    200 after every case (the metrics server has one serving
+//!    thread, so a panic would silence it);
 //! 2. **never hang past the deadline**: each connection resolves
-//!    (response or close) within a small multiple of the server's
-//!    configured head/body deadlines.
+//!    (response or close) within a small multiple of the servers'
+//!    configured deadline.
 //!
 //! The vendored proptest samples cases from a fixed per-test seed, so
 //! any failure reproduces exactly.
@@ -21,8 +25,9 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use paydemand_obs::Recorder;
-use paydemand_serve::{http, Daemon, DaemonConfig, HttpLimits};
+use paydemand_obs::http::{self, HttpLimits};
+use paydemand_obs::{MetricsServer, Recorder};
+use paydemand_serve::{Daemon, DaemonConfig};
 use paydemand_sim::{MechanismKind, Scenario, SelectorKind};
 
 /// Server-side deadlines for the fuzz daemon: short, so stall-style
@@ -53,12 +58,7 @@ fn fixture() -> &'static Fixture {
             .with_mechanism(MechanismKind::OnDemand)
             .with_seed(0xF0220);
         let mut config = DaemonConfig::new(scenario, dir);
-        config.limits = HttpLimits {
-            head_deadline: HEAD_DEADLINE,
-            body_deadline: HEAD_DEADLINE,
-            write_timeout: HEAD_DEADLINE,
-            ..HttpLimits::default()
-        };
+        config.limits = HttpLimits { deadline: HEAD_DEADLINE, ..HttpLimits::default() };
         config.workers = 4;
         let recorder = Recorder::enabled();
         let daemon = Daemon::start(config, &recorder).expect("fuzz daemon starts");
@@ -70,12 +70,37 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Fires `payload` at the daemon as raw bytes and enforces the two
-/// battery properties for this case.
+thread_local! {
+    // One metrics server per test thread: it serves one connection at
+    // a time, so tests running in parallel must not queue behind each
+    // other's stalled cases. Never stopped; it serves until exit.
+    static METRICS: MetricsServer = MetricsServer::start_with_limits(
+        "127.0.0.1:0",
+        Recorder::enabled(),
+        HttpLimits { deadline: HEAD_DEADLINE, ..HttpLimits::default() },
+    )
+    .expect("fuzz metrics server starts");
+}
+
+/// Both servers under test: the shared daemon and this thread's
+/// metrics server.
+fn targets() -> [SocketAddr; 2] {
+    [fixture().addr, METRICS.with(MetricsServer::local_addr)]
+}
+
+/// Fires `payload` at every server at once as raw bytes and enforces
+/// the two battery properties for this case.
 fn fire(payload: &[u8]) {
-    let fx = fixture();
+    std::thread::scope(|scope| {
+        for addr in targets() {
+            scope.spawn(move || fire_at(addr, payload));
+        }
+    });
+}
+
+fn fire_at(addr: SocketAddr, payload: &[u8]) {
     let started = Instant::now();
-    if let Ok(mut stream) = TcpStream::connect_timeout(&fx.addr, CASE_BUDGET) {
+    if let Ok(mut stream) = TcpStream::connect_timeout(&addr, CASE_BUDGET) {
         let _ = stream.set_read_timeout(Some(CASE_BUDGET));
         let _ = stream.set_write_timeout(Some(CASE_BUDGET));
         let _ = stream.write_all(payload);
@@ -88,11 +113,11 @@ fn fire(payload: &[u8]) {
         "connection outlived the case budget: {elapsed:?} for {} payload bytes",
         payload.len()
     );
-    // The daemon must still be alive and panic-free.
-    let health = http::request(fx.addr, "GET", "/healthz", b"", CASE_BUDGET)
-        .expect("daemon still answers /healthz");
+    // The server must still be alive and panic-free.
+    let health = http::request(addr, "GET", "/healthz", b"", CASE_BUDGET)
+        .expect("server still answers /healthz");
     assert_eq!(health.status, 200, "healthz degraded: {}", health.body);
-    assert_eq!(fx.restarts.get(), 0, "a fuzz case panicked a worker");
+    assert_eq!(fixture().restarts.get(), 0, "a fuzz case panicked a worker");
 }
 
 /// A well-formed events request, the honest baseline the mutations
@@ -206,11 +231,10 @@ fn exact_edge_cases_resolve() {
     // Bare CRLFs.
     fire(b"\r\n\r\n");
     // A request line exactly at, then past, the cap.
-    let limits = HttpLimits::default();
-    fire(format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(limits.max_request_line_bytes)).as_bytes());
+    fire(format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(http::MAX_REQUEST_LINE_BYTES)).as_bytes());
     // Header flood up to the head cap.
     let mut flood = b"GET /healthz HTTP/1.1\r\n".to_vec();
-    while flood.len() < limits.max_head_bytes + 1024 {
+    while flood.len() < http::MAX_HEAD_BYTES + 1024 {
         flood.extend_from_slice(b"X-Flood: yes\r\n");
     }
     fire(&flood);
@@ -226,9 +250,14 @@ fn exact_edge_cases_resolve() {
 /// fresh per-read allowance each time.
 #[test]
 fn slow_loris_is_cut_off_by_total_deadline() {
-    let fx = fixture();
+    for addr in targets() {
+        slow_loris_at(addr);
+    }
+}
+
+fn slow_loris_at(addr: SocketAddr) {
     let started = Instant::now();
-    let mut stream = TcpStream::connect_timeout(&fx.addr, CASE_BUDGET).unwrap();
+    let mut stream = TcpStream::connect_timeout(&addr, CASE_BUDGET).unwrap();
     stream.set_read_timeout(Some(CASE_BUDGET)).unwrap();
     stream.set_write_timeout(Some(CASE_BUDGET)).unwrap();
     // Each write is well inside the per-read window; the sum is far
@@ -249,7 +278,7 @@ fn slow_loris_is_cut_off_by_total_deadline() {
         elapsed < CASE_BUDGET,
         "slow-loris held the connection {elapsed:?}; total deadline not enforced"
     );
-    let health = http::request(fx.addr, "GET", "/healthz", b"", CASE_BUDGET).unwrap();
+    let health = http::request(addr, "GET", "/healthz", b"", CASE_BUDGET).unwrap();
     assert_eq!(health.status, 200);
-    assert_eq!(fx.restarts.get(), 0);
+    assert_eq!(fixture().restarts.get(), 0);
 }

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use paydemand::sim::{engine, MechanismKind, Scenario, SelectorKind};
+use paydemand_obs::http::request;
 use paydemand_obs::Recorder;
-use paydemand_serve::http::request;
 use paydemand_serve::{Daemon, DaemonConfig};
 
 /// The golden scenario of `tests/determinism.rs` (197 measurements,

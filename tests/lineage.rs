@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use paydemand::sim::{MechanismKind, Scenario, SelectorKind};
+use paydemand_obs::http::request;
 use paydemand_obs::{parse_json, LogLevel, Logger, Recorder};
-use paydemand_serve::http::request;
 use paydemand_serve::{lineage, Daemon, DaemonConfig};
 
 /// The golden scenario of `tests/determinism.rs`.

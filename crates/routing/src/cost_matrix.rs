@@ -129,7 +129,7 @@ impl CostMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -179,7 +179,7 @@ mod tests {
 
     /// Points on a coarse grid, so duplicate locations are common, plus
     /// an explicit copy of the first point.
-    fn grid_points(cells: Vec<(u8, u8)>) -> Vec<Point> {
+    pub(crate) fn grid_points(cells: Vec<(u8, u8)>) -> Vec<Point> {
         let mut pts: Vec<Point> = cells
             .into_iter()
             .map(|(x, y)| Point::new(f64::from(x) * 37.5, f64::from(y) * 41.25))
@@ -190,7 +190,7 @@ mod tests {
 
     /// The same distances as a precomputed [`DistanceMatrix`] table:
     /// index 0 is the start, task `j` is index `j + 1`.
-    fn tabulated(start: Point, pts: &[Point]) -> CostMatrix {
+    pub(crate) fn tabulated(start: Point, pts: &[Point]) -> CostMatrix {
         let mut all = vec![start];
         all.extend_from_slice(pts);
         let table = DistanceMatrix::from_points(&all);

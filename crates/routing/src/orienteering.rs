@@ -202,7 +202,9 @@ impl Default for Solution {
 /// Enumerates every budget-feasible subset with the pruned Held-Karp DP,
 /// scores each by `P(ℓ) = R(ℓ) − C(ℓ)`, and returns the most profitable
 /// (the empty set, profit 0, when nothing profitable is reachable — the
-/// paper's rational-user assumption).
+/// paper's rational-user assumption). Among equally profitable subsets
+/// the one with the lowest bitmask value wins, and the empty set wins
+/// every tie at profit 0, so the answer is a function of the instance.
 ///
 /// # Errors
 ///
@@ -221,25 +223,24 @@ pub fn solve_exact(instance: &Instance<'_>) -> Result<Solution, RoutingError> {
 /// Same as [`solve_exact`].
 pub fn solve_exact_with_stats(instance: &Instance<'_>) -> Result<(Solution, u64), RoutingError> {
     let dp = subset_dp::solve(instance.costs, instance.distance_budget)?;
-    let states = dp.state_count();
     let mut best = Solution::stay_home();
-    for mask in dp.feasible_masks() {
-        let distance = dp.shortest(mask).expect("feasible mask has a length");
+    let mut best_mask = 0u32;
+    for (mask, distance) in dp.shortest_by_mask() {
         // Service consumes budget on top of travel.
         if distance + instance.service_load_mask(mask) > instance.distance_budget {
             continue;
         }
-        let reward: f64 = (0..instance.costs.tasks())
-            .filter(|&j| mask & (1 << j) != 0)
-            .map(|j| instance.rewards[j])
-            .sum();
+        let reward: f64 = subset_dp::bits(mask).map(|j| instance.rewards[j]).sum();
         let profit = reward - instance.cost_per_meter * distance;
-        if profit > best.profit {
-            let order = dp.reconstruct(mask).expect("feasible mask reconstructs");
-            best = Solution { order, distance, reward, profit };
+        // The lowest mask wins a tie, whatever order the DP stored
+        // the masks in.
+        if profit > best.profit || (profit == best.profit && mask < best_mask) {
+            best = Solution { order: Vec::new(), distance, reward, profit };
+            best_mask = mask;
         }
     }
-    Ok((best, states))
+    best.order = dp.reconstruct(best_mask).expect("feasible mask reconstructs");
+    Ok((best, dp.state_count()))
 }
 
 /// The paper's greedy task selection (§V-B, Theorem 3, `O(m²)`).
@@ -442,6 +443,34 @@ mod tests {
         let inst = Instance::new(&costs, &[100.0], 1000.0, 0.002).unwrap();
         let s = solve_exact(&inst).unwrap();
         assert!(s.order.is_empty());
+    }
+
+    #[test]
+    fn exact_breaks_profit_ties_by_lowest_mask() {
+        // Three tasks 10 m out with equal rewards: any one fits the 15 m
+        // budget, no two do, so masks 0b001, 0b010 and 0b100 tie.
+        let spokes = [Point::new(10.0, 0.0), Point::new(-10.0, 0.0), Point::new(0.0, 10.0)];
+        let costs = CostMatrix::from_points(Point::ORIGIN, &spokes);
+        let inst = Instance::new(&costs, &[1.0; 3], 15.0, 0.002).unwrap();
+        for _ in 0..200 {
+            assert_eq!(solve_exact(&inst).unwrap().order, vec![0]);
+        }
+        // Without task 0 the tie is between masks 0b010 and 0b100.
+        let far = [Point::new(100.0, 0.0), spokes[1], spokes[2]];
+        let costs = CostMatrix::from_points(Point::ORIGIN, &far);
+        let inst = Instance::new(&costs, &[1.0; 3], 15.0, 0.002).unwrap();
+        for _ in 0..200 {
+            assert_eq!(solve_exact(&inst).unwrap().order, vec![1]);
+        }
+        // A pair against a singleton: {t0, t1} (mask 0b011) and {t2}
+        // (mask 0b100) both earn 2 at zero travel cost. The DP stores the
+        // singleton first, but the lower mask wins.
+        let costs = CostMatrix::from_points(
+            Point::ORIGIN,
+            &[Point::new(10.0, 0.0), Point::new(20.0, 0.0), Point::new(0.0, -20.0)],
+        );
+        let inst = Instance::new(&costs, &[1.0, 1.0, 2.0], 20.0, 0.0).unwrap();
+        assert_eq!(solve_exact(&inst).unwrap().order, vec![0, 1]);
     }
 
     #[test]

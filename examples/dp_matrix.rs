@@ -56,7 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let reward: f64 = (0..6).filter(|&j| mask & (1 << j) != 0).map(|j| rewards[j]).sum();
         let profit = reward - 0.02 * distance;
-        if profit > best.1 {
+        // Equal profits go to the lowest mask, as in `solve_exact`.
+        if profit > best.1 || (profit == best.1 && mask < best.0) {
             best = (mask, profit);
         }
     }

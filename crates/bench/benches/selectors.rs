@@ -6,7 +6,10 @@
 //!   14 candidates within reach at the paper's 1,200 m and 2,400 m
 //!   budgets (600–1,200 s at 2 m/s);
 //! * `greedy/m`, `greedy2opt/m` — the polynomial heuristics at scales
-//!   the DP cannot touch.
+//!   the DP cannot touch;
+//! * `greedy_city` — one greedy solve as `city_round` runs it: 543 open
+//!   candidates in the 3 km square (1k tasks, about half still open) at
+//!   the five on-demand reward levels 0.5–2.5 $.
 //!
 //! Each iteration builds the `SelectionProblem` and solves it, as the
 //! engine does per user: Euclidean travel costs are computed during the
@@ -106,12 +109,30 @@ fn bench_heuristics(c: &mut Criterion) {
     }
 }
 
+fn bench_greedy_city(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(543);
+    let user = random_user(&mut rng);
+    let mut tasks = random_published_tasks(543, &mut rng);
+    for task in &mut tasks {
+        // Round to the nearest 0.5 $: Eq. 7's five levels at r0 = λ = 0.5.
+        task.reward = (task.reward * 2.0).round() / 2.0;
+    }
+    c.bench_function("greedy_city", |b| {
+        b.iter(|| {
+            let problem =
+                SelectionProblem::new(user, black_box(&tasks), 900.0, 2.0, 0.002).unwrap();
+            GreedySelector.select(&problem).unwrap()
+        });
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(20);
-    targets = bench_dp_scaling, bench_dp_budget_pruning, bench_dp_paper, bench_heuristics
+    targets = bench_dp_scaling, bench_dp_budget_pruning, bench_dp_paper, bench_heuristics,
+        bench_greedy_city
 }
 criterion_main!(benches);

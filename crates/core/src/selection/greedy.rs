@@ -89,6 +89,7 @@ mod tests {
     use super::*;
     use crate::selection::tests::published;
     use crate::selection::DpSelector;
+    use crate::TaskId;
     use paydemand_geo::Point;
     use proptest::prelude::*;
 
@@ -116,6 +117,26 @@ mod tests {
         let g = GreedySelector.select(&p).unwrap();
         let t = GreedyTwoOptSelector.select(&p).unwrap();
         assert!(t.profit() >= g.profit() - 1e-12);
+    }
+
+    #[test]
+    fn greedy_skips_tasks_at_non_finite_locations() {
+        let tasks = vec![
+            published(0, 100.0, 0.0, 1.0),
+            published(1, f64::NAN, 0.0, 1.0),
+            published(2, 200.0, 0.0, 1.0),
+        ];
+        let p = SelectionProblem::new(Point::ORIGIN, &tasks, 1000.0, 2.0, 0.002).unwrap();
+        let o = GreedySelector.select(&p).unwrap();
+        assert_eq!(o.tasks(), &[TaskId(0), TaskId(2)]);
+        assert_eq!(o.distance(), 200.0);
+        assert!(o.profit().is_finite());
+        // A user at a NaN location reaches nothing.
+        let p =
+            SelectionProblem::new(Point::new(f64::NAN, 0.0), &tasks, 1000.0, 2.0, 0.002).unwrap();
+        let (o, stats) = GreedySelector.select_with_stats(&p).unwrap();
+        assert!(o.tasks().is_empty());
+        assert_eq!(stats.iterations, 1);
     }
 
     #[test]

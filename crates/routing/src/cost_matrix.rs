@@ -11,9 +11,9 @@ use paydemand_geo::{DistanceMatrix, Point};
 ///
 /// Start distances are computed once, at construction. Pairwise task
 /// distances depend on how the matrix was built:
-/// [`from_points`](Self::from_points) keeps the task points and computes
-/// each Euclidean distance when it is asked for, so a greedy solve pays
-/// for the `O(k·m)` distances it reads rather than all `m(m−1)/2`;
+/// [`from_points`](Self::from_points) keeps the start and task points and
+/// computes each Euclidean distance when it is asked for, so a greedy
+/// solve pays for the distances it reads rather than all `m(m−1)/2`;
 /// [`from_fn`](Self::from_fn) evaluates its closure once per unordered
 /// pair into a [`DistanceMatrix`] table, for costs that are expensive to
 /// compute (road networks, street grids).
@@ -43,10 +43,11 @@ pub struct CostMatrix {
 /// Where [`CostMatrix::between`] gets its answer.
 #[derive(Debug, Clone, PartialEq)]
 enum TaskCosts {
-    /// Task locations; Euclidean distances are computed on demand.
-    /// `Point::distance` is bitwise symmetric (`dx`, `dy` only change
-    /// sign), so every value equals what a precomputed table would hold.
-    Euclidean(Vec<Point>),
+    /// The start and the task locations; Euclidean distances are
+    /// computed on demand. `Point::distance` is bitwise symmetric (`dx`,
+    /// `dy` only change sign), so every value equals what a precomputed
+    /// table would hold.
+    Euclidean { start: Point, points: Vec<Point> },
     /// Precomputed pairwise costs.
     Table(DistanceMatrix),
 }
@@ -58,7 +59,7 @@ impl CostMatrix {
     pub fn from_points(start: Point, task_locations: &[Point]) -> Self {
         CostMatrix {
             start: task_locations.iter().map(|&t| start.distance(t)).collect(),
-            tasks: TaskCosts::Euclidean(task_locations.to_vec()),
+            tasks: TaskCosts::Euclidean { start, points: task_locations.to_vec() },
         }
     }
 
@@ -96,7 +97,7 @@ impl CostMatrix {
     #[must_use]
     pub fn between(&self, i: usize, j: usize) -> f64 {
         match &self.tasks {
-            TaskCosts::Euclidean(points) => {
+            TaskCosts::Euclidean { points, .. } => {
                 let (a, b) = (points[i], points[j]);
                 if i == j {
                     0.0
@@ -105,6 +106,18 @@ impl CostMatrix {
                 }
             }
             TaskCosts::Table(table) => table.get(i, j),
+        }
+    }
+
+    /// The start and task locations behind a
+    /// [`from_points`](Self::from_points) matrix, where
+    /// `from_start(j) == start.distance(points[j])` and
+    /// `between(i, j) == points[i].distance(points[j])` bit for bit;
+    /// `None` for a [`from_fn`](Self::from_fn) table.
+    pub(crate) fn locations(&self) -> Option<(Point, &[Point])> {
+        match &self.tasks {
+            TaskCosts::Euclidean { start, points } => Some((*start, points)),
+            TaskCosts::Table(_) => None,
         }
     }
 

@@ -14,8 +14,9 @@
 //!   reachable subsets are expanded;
 //! * [`orienteering`] — exact profit maximisation on top of the DP
 //!   (the paper's "dynamic programming based task selection algorithm"),
-//!   the `O(m²)` marginal-profit greedy (Theorem 3), and a 2-opt
-//!   route-improvement pass;
+//!   the marginal-profit greedy (Theorem 3), whose picks search a
+//!   reward-bounded grid of the task locations instead of scanning every
+//!   task, and a 2-opt route-improvement pass;
 //! * [`Route`] — an ordered visit plan with its length.
 //!
 //! # Examples
@@ -43,6 +44,7 @@ mod cost_matrix;
 mod error;
 pub mod insertion;
 pub mod orienteering;
+mod reward_grid;
 mod route;
 pub mod subset_dp;
 pub mod two_opt;

